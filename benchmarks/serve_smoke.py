@@ -16,9 +16,9 @@ the build when any regresses:
 * **cold sweeps go through the fused planner** -- a cold-cache sweep
   request must batch its vector-eligible points in-process
   (``serve.sweep.fused_points`` counts them), un-fusable DES points
-  must fan out to the one resident ProcessPool (``serve.pool.dispatches``
-  grows across requests), and the daemon must never spawn a per-request
-  pool (``serve.pool.request_spawns`` stays zero).
+  must run one at a time (``serve.sweep.per_point_points`` grows by one
+  per DES request), and every point must run inside the daemon's own
+  process: it has no child processes afterwards.
 
 Results land in ``BENCH_serve.json`` at the repository root;
 ``repro.cli report`` folds the file into the reproduction report.
@@ -27,6 +27,7 @@ Run directly: ``PYTHONPATH=src python benchmarks/serve_smoke.py``
 """
 
 import json
+import multiprocessing
 import pathlib
 import subprocess
 import sys
@@ -64,12 +65,15 @@ LOAD_SCENARIOS = tuple(
 )
 
 #: A deliberately slow, previously-unseen scenario for the coalescing
-#: burst: the DES tier over many packets keeps the leader in flight
+#: burst: the DES oracle loop over many packets keeps the leader in flight
 #: long enough that every concurrent identical request attaches to it.
 COALESCE = Scenario(kind="sweep", apps=("sec-gateway",),
                     devices=("device-a",), engine="des",
                     workload=WorkloadSpec(packet_sizes=(96,),
                                           packets_per_point=150_000))
+
+#: One-point DES-engine sweeps that must each run on the per-point path.
+DES_SIZES = ((80,), (112,))
 
 CLI_REPEATS = 2
 WARM_SAMPLES = 50
@@ -164,29 +168,28 @@ def fused_planner_stats(client: ServeClient) -> dict:
 
     ``time_warm_daemon`` already pushed BASE through cold, so its
     vector-eligible points must show up as fused.  Two distinct
-    DES-engine scenarios then force the per-point path twice: both must
-    dispatch to the *same* resident pool, with zero per-request spawns.
+    DES-engine scenarios then force the per-point path twice, inside
+    the daemon's process.
     """
     des_scenarios = tuple(
         Scenario(kind="sweep", apps=("sec-gateway",), devices=("device-a",),
                  engine="des",
                  workload=WorkloadSpec(packet_sizes=sizes,
                                        packets_per_point=100))
-        for sizes in ((80,), (112,))
+        for sizes in DES_SIZES
     )
+    before = client.stats()["metrics"]["serve"]["sweep"]
     for scenario in des_scenarios:
         response = client.run_scenario(scenario, endpoint="sweep")
         assert response.status == 200, response.body
-    stats = client.stats()
-    serve = stats["metrics"]["serve"]
-    pool = serve.get("pool", {})
+    serve = client.stats()["metrics"]["serve"]
     return {
         "fused_points": serve["sweep"]["fused_points"],
         "fused_groups": serve["sweep"]["fused_groups"],
-        "pooled_points": serve["sweep"].get("pooled_points", 0),
-        "pool_dispatches": pool.get("dispatches", 0),
-        "request_spawns": pool.get("request_spawns", 0),
-        "pool_resident": stats["pool"]["resident"],
+        "des_per_point_points": (
+            serve["sweep"].get("per_point_points", 0)
+            - before.get("per_point_points", 0)),
+        "child_processes": len(multiprocessing.active_children()),
     }
 
 
@@ -257,15 +260,15 @@ def main() -> int:
               "fused planner (serve.sweep.fused_points == 0)",
               file=sys.stderr)
         failed = True
-    if fused["pool_dispatches"] < 2:
-        print(f"FAIL: resident pool dispatched only "
-              f"{fused['pool_dispatches']} times across two DES-engine "
-              f"requests (expected >= 2)", file=sys.stderr)
+    if fused["des_per_point_points"] != len(DES_SIZES):
+        print(f"FAIL: {fused['des_per_point_points']} points ran per-point "
+              f"across {len(DES_SIZES)} one-point DES-engine requests "
+              f"(expected {len(DES_SIZES)})", file=sys.stderr)
         failed = True
-    if fused["request_spawns"] != 0 or not fused["pool_resident"]:
-        print(f"FAIL: daemon spawned {fused['request_spawns']} per-request "
-              f"pools (resident={fused['pool_resident']}); sweeps must "
-              f"reuse the one resident ProcessPool", file=sys.stderr)
+    if fused["child_processes"]:
+        print(f"FAIL: the daemon left {fused['child_processes']} child "
+              f"processes; every sweep point must run in the daemon process",
+              file=sys.stderr)
         failed = True
     if baseline["slo"]["exit_code"] != 0:
         print(f"FAIL: serving SLOs violated under load: "

@@ -1,26 +1,20 @@
 """Sweep-runner perf baseline (``make bench-sweep``).
 
-Times one Fig-17/18-style multi-app x multi-device sweep four ways:
+Times one Fig-17/18-style multi-app x multi-device sweep three ways:
 
 * ``serial_seed`` -- the seed's serial hot path: a fresh chain per
   point driven through the pinned
   :func:`repro.sim.pipeline.run_packet_sweep_reference` loop (the
-  per-Transaction implementation preserved verbatim for exactly this
-  comparison);
-* ``parallel`` -- the :class:`repro.runtime.sweep.SweepRunner` with 4
-  workers, a cold cache, and the fused planner disabled
-  (``fuse=False``): every point fans out to the ProcessPool;
-* ``fused`` -- the same runner with the fused planner on (the default):
-  cache-miss points batch through the in-process vector kernel, no
-  pool, no pickling;
+  per-Transaction oracle, kept verbatim for exactly this comparison);
+* ``fused`` -- the :class:`repro.runtime.sweep.SweepRunner` with a cold
+  cache: cache-miss points batch through the in-process vector kernel;
 * ``cached`` -- the runner re-run against the warm cache.
 
 Results land in ``BENCH_sweep.json`` at the repository root;
 ``repro.cli report`` folds the file into the reproduction report.  The
-script exits non-zero when the parallel run fails its >= 2.5x speedup
-budget against the serial seed path, the fused run fails its >= 3x
-budget against the per-point parallel run, the fused results are not
-byte-identical to the per-point results, or the warm re-run fails its
+script exits non-zero when the fused run fails its >= 7.5x speedup
+budget against the serial seed path, the fused results are not
+bit-identical to the serial seed results, or the warm re-run fails its
 >= 10x budget against the cold run.
 
 Run directly: ``PYTHONPATH=src python benchmarks/sweep_smoke.py``
@@ -51,8 +45,9 @@ APPS = ("sec-gateway", "layer4-lb", "host-network")
 DEVICES = ("device-a", "device-b", "device-d")
 PACKET_SIZES = (64, 128, 256, 512, 1024)
 PACKETS_PER_POINT = 4_000
-WORKERS = 4
 REPEATS = 2
+FUSED_SPEEDUP_BUDGET = 7.5
+CACHE_SPEEDUP_BUDGET = 10.0
 
 PLAN = SweepPlan(apps=APPS, devices=DEVICES, packet_sizes=PACKET_SIZES,
                  packets_per_point=PACKETS_PER_POINT)
@@ -63,7 +58,7 @@ def serial_seed_sweep() -> list:
 
     Mirrors what ``CloudApplication.measure`` did before the overhaul --
     build the chain, then push one Transaction per packet through the
-    reference loop.  No pool, no cache, no batch fast path.
+    reference loop.  No cache, no kernel.
     """
     results = []
     for app_name in APPS:
@@ -81,19 +76,10 @@ def serial_seed_sweep() -> list:
 
 
 def run() -> dict:
-    # Warm imports/catalog outside every timing window.
-    serial_seed_sweep_points = len(PLAN)
     cache = SweepCache()
-    perpoint = SweepRunner(PLAN, workers=WORKERS, cache=cache, fuse=False)
-    fused = SweepRunner(PLAN, workers=WORKERS, cache=cache, fuse=True)
+    fused = SweepRunner(PLAN, cache=cache)
 
     serial_s = best_of(serial_seed_sweep, REPEATS)
-
-    def cold_perpoint():
-        cache.clear()
-        perpoint.run()
-
-    cold_s = best_of(cold_perpoint, REPEATS)
 
     def cold_fused():
         cache.clear()
@@ -101,17 +87,15 @@ def run() -> dict:
 
     fused_s = best_of(cold_fused, REPEATS)
 
-    # Exactness spot-check: the fused planner must be invisible in the
-    # output -- byte-identical results from both cold paths.
-    cache.clear()
-    perpoint_result = perpoint.run()
+    # Exactness spot-check: the kernel must be invisible in the output --
+    # bit-identical floats to the serial oracle loop, point for point.
     cache.clear()
     fused_result = fused.run()
     # Every *executed* point of this all-analytic grid must fuse (the
-    # remainder dedup to shared content keys, not the pool).
-    assert fused_result.pooled_points == 0 and fused_result.fused_points > 0
-    exact = (json.dumps(fused_result.to_json(), sort_keys=True)
-             == json.dumps(perpoint_result.to_json(), sort_keys=True))
+    # remainder dedup to shared content keys).
+    assert fused_result.per_point_points == 0 and fused_result.fused_points > 0
+    exact = [(point.throughput_bps, point.mean_latency_ns)
+             for point in fused_result.points] == serial_seed_sweep()
 
     # Populate once, then time warm re-runs only.
     fused.run()
@@ -123,14 +107,11 @@ def run() -> dict:
     return {
         "workload": f"{len(APPS)} apps x {len(DEVICES)} devices x "
                     f"{len(PACKET_SIZES)} sizes x {PACKETS_PER_POINT} packets "
-                    f"({serial_seed_sweep_points} points)",
-        "workers": WORKERS,
+                    f"({len(PLAN)} points)",
         "serial_seed_s": round(serial_s, 6),
-        "parallel_cold_s": round(cold_s, 6),
         "fused_cold_s": round(fused_s, 6),
         "cached_warm_s": round(warm_s, 6),
-        "parallel_speedup": round(serial_s / cold_s, 3),
-        "fused_speedup": round(cold_s / fused_s, 3),
+        "fused_speedup": round(serial_s / fused_s, 3),
         "fused_exact": exact,
         "fused_groups": fused_result.fused_groups,
         "cache_speedup": round(fused_s / warm_s, 3),
@@ -145,23 +126,19 @@ def main() -> int:
     print(json.dumps(baseline, indent=2, sort_keys=True))
     print(f"\nwrote {target}")
     failed = False
-    if baseline["parallel_speedup"] < 2.5:
-        print(f"FAIL: parallel sweep only {baseline['parallel_speedup']:.2f}x "
-              f"faster than the serial seed path (budget 2.5x)",
-              file=sys.stderr)
-        failed = True
-    if baseline["fused_speedup"] < 3.0:
+    if baseline["fused_speedup"] < FUSED_SPEEDUP_BUDGET:
         print(f"FAIL: fused sweep only {baseline['fused_speedup']:.2f}x "
-              f"faster than the per-point parallel path (budget 3x)",
-              file=sys.stderr)
+              f"faster than the serial seed path "
+              f"(budget {FUSED_SPEEDUP_BUDGET}x)", file=sys.stderr)
         failed = True
     if not baseline["fused_exact"]:
-        print("FAIL: fused results are not byte-identical to per-point",
-              file=sys.stderr)
+        print("FAIL: fused results are not bit-identical to the serial "
+              "oracle loop", file=sys.stderr)
         failed = True
-    if baseline["cache_speedup"] < 10.0:
+    if baseline["cache_speedup"] < CACHE_SPEEDUP_BUDGET:
         print(f"FAIL: warm-cache re-run only {baseline['cache_speedup']:.2f}x "
-              f"faster than the cold run (budget 10x)", file=sys.stderr)
+              f"faster than the cold run (budget {CACHE_SPEEDUP_BUDGET:.0f}x)",
+              file=sys.stderr)
         failed = True
     return 1 if failed else 0
 

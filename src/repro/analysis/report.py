@@ -92,7 +92,7 @@ def default_sweep_baseline_path() -> pathlib.Path:
 def load_sweep_baseline(
     path: Optional[pathlib.Path] = None,
 ) -> Optional[Dict[str, Any]]:
-    """The sweep-runner serial/parallel/cached timings, if recorded."""
+    """The sweep-runner serial/fused/cached timings, if recorded."""
     return load_perf_baseline(path or default_sweep_baseline_path())
 
 
@@ -104,7 +104,7 @@ def default_vector_baseline_path() -> pathlib.Path:
 def load_vector_baseline(
     path: Optional[pathlib.Path] = None,
 ) -> Optional[Dict[str, Any]]:
-    """The vector-kernel vs scalar-batch timings, if recorded."""
+    """The vector-kernel vs oracle-loop timings, if recorded."""
     return load_perf_baseline(path or default_vector_baseline_path())
 
 

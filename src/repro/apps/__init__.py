@@ -40,10 +40,9 @@ def application_names():
 def application_by_name(name: str) -> CloudApplication:
     """Look one application up by its registered name.
 
-    Sweep workers reconstruct applications from their names (only plain
-    strings cross the process boundary), so the lookup lives here rather
-    than in the CLI -- which shares this single path instead of keeping
-    its own copy.  Only the named application is constructed.  Unknown
+    Sweep points and scenarios name applications as plain strings, so
+    the lookup lives here rather than in the CLI -- which shares this
+    single path instead of keeping its own copy.  Only the named application is constructed.  Unknown
     names raise :class:`repro.errors.ConfigurationError` listing the
     valid names, the same loud contract the scenario spec uses
     everywhere.

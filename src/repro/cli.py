@@ -16,10 +16,10 @@ Gives operators the day-to-day views the library computes:
   ``--format prometheus``);
 * ``profile`` -- run a representative sweep + fleet workload under the
   wall-clock self-profiler and print the top-N phase table;
-* ``sweep --apps ... --devices ... --workers N`` -- run an
-  (apps x devices x packet-sizes) sweep through the parallel cached
+* ``sweep --apps ... --devices ...`` -- run an (apps x devices x
+  packet-sizes) sweep through the cached
   :class:`repro.runtime.sweep.SweepRunner` (``--engine`` picks the
-  vector/DES execution tier);
+  vector kernel or the DES oracle loop);
 * ``fleet`` -- shard millions of Zipf-skewed flows across the
   production fleet under several load-balancing policies (``--slo``
   evaluates service objectives and exits nonzero on violations);
@@ -29,8 +29,9 @@ Gives operators the day-to-day views the library computes:
   from the artifact store; manifests are byte-identical at any worker
   count);
 * ``fuzz`` -- differential conformance fuzzing: generate random valid
-  scenarios, cross-check the cache/vector/DES tiers for exact equality,
-  and shrink any failure to a minimal JSON repro;
+  scenarios, cross-check the cache, the vector kernel and the oracle
+  loop for exact equality, and shrink any failure to a minimal JSON
+  repro;
 * ``report`` -- collate benchmark artifacts into one reproduction report.
 
 ``sweep``, ``fleet``, and ``build`` all accept ``--scenario FILE``: one
@@ -398,7 +399,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cache.load(args.cache_file)
         except FileNotFoundError:
             pass                        # first run populates it
-    outcome = run_sweep_service(scenario, workers=args.workers, cache=cache,
+    outcome = run_sweep_service(scenario, cache=cache,
                                 use_cache=not args.no_cache, slo=args.slo)
     result = outcome.result
     rows = [
@@ -411,7 +412,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     print(format_table(
         ["app", "device", "packet", "Gbps", "latency ns", "cache"], rows,
-        title=f"Sweep: {len(result)} points, {args.workers} worker(s)",
+        title=f"Sweep: {len(result)} points",
     ))
     print(f"# {outcome.elapsed_s:.3f}s wall, "
           f"{result.cache_hits}/{len(result)} cache hits",
@@ -512,7 +513,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServeConfig(
         host=args.host, port=args.port, exec_workers=args.exec_workers,
-        pool_workers=args.pool_workers,
         max_queue=args.max_queue, quota_rps=args.quota_rps,
         quota_burst=args.quota_burst,
         cache_entries=args.cache_entries if args.cache_entries > 0 else None,
@@ -819,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="show the top-N phases by cumulative time")
 
     sweep = commands.add_parser(
-        "sweep", help="run an (apps x devices x sizes) sweep, optionally parallel")
+        "sweep", help="run an (apps x devices x sizes) sweep")
     sweep.add_argument("--scenario",
                        help="declarative scenario JSON describing the sweep "
                             "(replaces --apps/--devices/--sizes/--packets/"
@@ -832,8 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="packet sizes in bytes (default paper sweep)")
     sweep.add_argument("--packets", type=int,
                        help="packets per sweep point (default 2000)")
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="worker processes (1 = in-process serial)")
     sweep.add_argument("--native", action="store_true",
                        help="sweep the native (no-Harmonia) data path")
     sweep.add_argument("--no-cache", action="store_true",
@@ -844,8 +842,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace every point; write merged JSONL here")
     sweep.add_argument("--json", help="write per-point results JSON here")
     sweep.add_argument("--engine", choices=("auto", "vector", "des"),
-                       help="execution tier for cache misses: auto picks the "
-                            "vector kernel when the chain is analytic")
+                       help="implementation for cache misses: auto picks the "
+                            "vector kernel when the chain is analytic, des "
+                            "the per-transaction oracle loop")
     sweep.add_argument("--slo",
                        help="check results against SLO specs: a JSON file "
                             "or 'default'; violations exit with code 4")
@@ -970,8 +969,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--exec-workers", type=int, default=4,
                        help="scenario-execution threads (default 4)")
     serve.add_argument("--pool-workers", type=int, default=4,
-                       help="resident sweep ProcessPool width for points "
-                            "the fused planner cannot batch (default 4)")
+                       help="accepted for compatibility and ignored: every "
+                            "sweep point runs in the daemon's process")
     serve.add_argument("--max-queue", type=int, default=32,
                        help="bounded execution queue; new work beyond this "
                             "is shed with 503 (default 32)")

@@ -1,11 +1,12 @@
-"""Request-scoped trace context and cross-process span stitching.
+"""Request-scoped trace context and per-point span stitching.
 
-The serving daemon handles every request on one asyncio loop, but the
-actual work fans out: sweep points cross a ``ProcessPoolExecutor``
-boundary and come back as per-point JSONL fragments whose span ids all
-start at 0.  Concatenating the fragments (``merged_trace_jsonl``) gives
-a *forest* -- useful for eyeballing, useless for request attribution,
-because nothing connects a point's spans to the request that ran it.
+The serving daemon handles every request on one asyncio loop and runs
+each scenario on an execution thread.  A traced sweep comes back as one
+JSONL fragment per point, each recorded on its own fresh context, so
+every fragment's span ids start at 0.  Concatenating the fragments
+(``merged_trace_jsonl``) gives a *forest* -- useful for eyeballing,
+useless for request attribution, because nothing connects a point's
+spans to the request that ran it.
 
 This module closes that gap:
 
@@ -22,8 +23,8 @@ This module closes that gap:
 Both halves preserve the determinism contract.  Each fragment's spans
 come from a fresh per-point context (ids from 0, sim-time timestamps),
 and the merge walks fragments in plan order with a running id offset --
-so the stitched tree is **byte-identical at any worker count**.  And
-because a sweep response must stay a pure function of its scenario
+so the stitched tree is **byte-identical at any cache temperature**.
+And because a sweep response must stay a pure function of its scenario
 (request coalescing serves one leader's bytes to every follower), the
 stitched artifact's trace id is derived from the scenario id, never
 from the request: :meth:`TraceContext.for_scenario`.
@@ -66,8 +67,8 @@ class TraceContext:
         coalescer and the response cache depend on it -- so anything
         embedded in a response must derive from the scenario, not the
         request.  The first 16 hex digits of the scenario id are unique
-        enough to join against and stable across requests, workers, and
-        cache temperature.
+        enough to join against and stable across requests and cache
+        temperature.
         """
         return cls(trace_id=sanitise_trace_id(scenario_id[:16]))
 
@@ -103,7 +104,8 @@ def stitch_spans(segments: Sequence[str], *, trace_id: str,
     per-point :class:`~repro.runtime.context.SimContext` produces); the
     running offset renumbers them without collisions.  Output bytes are
     a pure function of the fragments and names -- byte-identical no
-    matter how many workers produced the fragments.
+    matter whether the fragments were just computed or came from the
+    cache.
     """
     records: List[Dict[str, Any]] = []
     root: Dict[str, Any] = {"type": "B", "id": 0, "name": root_name,

@@ -175,12 +175,9 @@ def isolated_context_stack() -> Iterator[None]:
 
     Inside the block, :func:`current_context` returns ``None`` no matter
     what ``with SimContext():`` blocks enclose the caller.  The sweep
-    runner uses this so an in-process (``workers=1``) run resolves
-    contexts exactly like a worker process would -- a freshly spawned
-    worker has an empty ambient stack, and determinism across worker
-    counts depends on the serial path seeing the same thing.  Stacks are
-    per thread, so hiding this thread's contexts never disturbs a
-    concurrent request's.
+    runner uses this so a point's results and traces never depend on
+    the caller's ambient contexts.  Stacks are per thread, so hiding
+    this thread's contexts never disturbs a concurrent request's.
     """
     stack = _active()
     saved = stack[:]

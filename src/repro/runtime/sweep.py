@@ -1,47 +1,38 @@
-"""Parallel sweep runner with content-keyed result caching.
+"""In-process sweep runner with content-keyed result caching.
 
 Every headline figure of the paper (Figs 10, 16, 17, 18) is a sweep of
 independent (application x device x packet-size) points through the same
-deterministic pipeline models.  Independence is the whole trick -- the
-same shape SYNERGY exploits by treating FPGA workloads as schedulable
-units and Funky by fanning them across isolated executors -- so this
-module does the simulation-side equivalent:
+deterministic pipeline models.  Independence is the whole trick -- a
+static-rate pipeline has one closed-form schedule, so many points can
+share one kernel pass -- and this module does the simulation-side
+bookkeeping:
 
 * a :class:`SweepPlan` expands into independent :class:`SweepPoint`\\ s;
-* a :class:`SweepRunner` executes them across a
-  ``concurrent.futures.ProcessPoolExecutor`` (``workers=1`` falls back
-  to an in-process serial loop with no pool at all) and merges results
-  in plan order, so the output -- including exported traces -- is
-  byte-identical no matter how many workers ran;
 * a :class:`SweepCache` memoises point results under a **content key**
   (the stage timing parameters of the chain, the packet size, the packet
   count, and the offered load).  The analytic models are pure functions
   of those inputs, so a repeated figure is a cache lookup, not a
-  re-simulation.
+  re-simulation;
+* a :class:`SweepRunner` probes the cache, runs the misses in this
+  process, and merges results in plan order.
 
-Each cold point then executes through a three-tier engine: cache hit ->
-the closed-form numpy kernel (:mod:`repro.sim.vector`) -> the scalar
-DES-equivalent loop for chains with non-analytic features.  The kernel
-is pinned to exact integer equality against the scalar reference, so
-the tier a point took is invisible in the results.
-
-Only plain strings and numbers cross the process boundary: a worker
-receives an app name, a device name, and sweep parameters, reconstructs
-the chain from the catalog, and returns floats (plus the point's JSONL
-trace when tracing was requested).  Workers never share the parent's
-cache; the parent consults the cache before dispatching and stores the
-merged results afterwards.
+Each cold point executes on one of two implementations: the closed-form
+numpy kernel (:mod:`repro.sim.vector`), which batches every untraced
+analytic point of a (chain, packet count) group into one launch, or the
+per-Transaction oracle loop for ``engine="des"`` and non-analytic chains.
+Traced points run one at a time -- the kernel still replays their
+untraced tail -- because each needs its own context and per-packet
+spans.  The kernel is pinned to exact integer equality against the
+oracle, so the path a point took is invisible in the results.
 """
 
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import tempfile
 import threading
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -62,11 +53,11 @@ DEFAULT_PACKET_SIZES: Tuple[int, ...] = (64, 128, 256, 512, 1024)
 class SweepPoint:
     """One independent unit of sweep work.
 
-    ``engine`` picks the execution tier for the point's untraced bulk
+    ``engine`` picks the implementation for the point's untraced bulk
     (``auto`` / ``vector`` / ``des`` -- see :mod:`repro.sim.vector`).
     It is deliberately *not* part of the cache key and not serialised in
     results: the vector kernel is pinned to exact equality against the
-    scalar path, so the tier is invisible in the output.
+    oracle loop, so the engine is invisible in the output.
     """
 
     app: str
@@ -364,7 +355,7 @@ DEFAULT_CACHE = SweepCache()
 
 
 # ---------------------------------------------------------------------------
-# Point execution (worker side)
+# Point execution
 # ---------------------------------------------------------------------------
 
 def _build_chain(point: SweepPoint):
@@ -388,42 +379,10 @@ def _build_chain(point: SweepPoint):
 _POINT_LOCK = threading.RLock()
 
 
-def _run_chain_point(chain, point: SweepPoint) -> Dict[str, Any]:
-    """Run one point on ``chain``; pure function of the chain's content.
-
-    Runs with the ambient-context stack hidden, so results and traces do
-    not depend on whether the caller happened to sit inside a
-    ``with SimContext():`` block -- the worker-process path never does,
-    and the serial path must match it byte for byte.
-    """
-    from repro.sim.pipeline import run_packet_sweep
-
-    from repro.sim.pipeline import reset_transaction_ids
-
-    with _POINT_LOCK, _profile_phase("sweep.point"), isolated_context_stack():
-        # Every point starts from transaction id 0, so the ids a traced
-        # point embeds in its spans cannot depend on pool-worker reuse
-        # or on whatever ran earlier in this process.
-        reset_transaction_ids()
-        context = SimContext(name=point.label(), trace=True) if point.trace else None
-        throughput_bps, mean_latency_ns = run_packet_sweep(
-            chain, packet_size_bytes=point.packet_size_bytes,
-            packet_count=point.packet_count, context=context,
-            engine=point.engine,
-        )
-    entry: Dict[str, Any] = {
-        "throughput_bps": throughput_bps,
-        "mean_latency_ns": mean_latency_ns,
-    }
-    if context is not None:
-        entry["trace_jsonl"] = context.trace.export_jsonl()
-    return entry
-
-
 #: Process-wide chain memo.  The (app, device, variant) combo repeats
 #: across the packet-size axis and across runs, and a chain is a pure
-#: (resettable) function of its combo, so each process -- pool worker or
-#: parent -- tailors a given shell at most once.  Reads and writes take
+#: (resettable) function of its combo, so the process tailors a given
+#: shell at most once.  Reads and writes take
 #: :data:`_CHAIN_MEMO_LOCK`: concurrent daemon requests must never
 #: interleave dict writes or observe a half-installed entry.
 _CHAIN_MEMO: Dict[Tuple[str, str, bool], Any] = {}
@@ -443,20 +402,34 @@ def _chain_for(point: SweepPoint):
     return chain
 
 
-def _execute_point(point_fields: Tuple[Any, ...]) -> Dict[str, Any]:
-    """Worker entry: rebuild the point and its chain, run, return floats."""
-    point = SweepPoint(*point_fields)
-    return _run_chain_point(_chain_for(point), point)
-
-
 def run_point(point: SweepPoint) -> Dict[str, Any]:
     """Execute one point in isolation and return its raw result entry.
 
-    The differential fuzzer's entry: it pins the engine on the point it
-    passes in and compares the returned entries (including any
-    ``trace_jsonl``) for exact equality across tiers.
+    Runs with the ambient-context stack hidden, so results and traces do
+    not depend on whether the caller happened to sit inside a
+    ``with SimContext():`` block.  :func:`run_packet_sweep` restarts
+    transaction ids at 0, so the ids a traced point embeds in its spans
+    cannot depend on whatever ran earlier in this process.  The runner's
+    per-point path and the differential fuzzer (which pins the engine on
+    the point it passes in) both call this.
     """
-    return _run_chain_point(_chain_for(point), point)
+    from repro.sim.pipeline import run_packet_sweep
+
+    chain = _chain_for(point)
+    with _POINT_LOCK, _profile_phase("sweep.point"), isolated_context_stack():
+        context = SimContext(name=point.label(), trace=True) if point.trace else None
+        throughput_bps, mean_latency_ns = run_packet_sweep(
+            chain, packet_size_bytes=point.packet_size_bytes,
+            packet_count=point.packet_count, context=context,
+            engine=point.engine,
+        )
+    entry: Dict[str, Any] = {
+        "throughput_bps": throughput_bps,
+        "mean_latency_ns": mean_latency_ns,
+    }
+    if context is not None:
+        entry["trace_jsonl"] = context.trace.export_jsonl()
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +443,7 @@ FuseKey = Tuple[Tuple[str, str, bool], int]
 def partition_fusable(points: Sequence[SweepPoint],
                       indices: Iterable[int]
                       ) -> Tuple["OrderedDict[FuseKey, List[int]]", List[int]]:
-    """Split pending point indices into fusable groups vs pool work.
+    """Split pending point indices into fusable groups vs per-point work.
 
     A point fuses when its untraced bulk would run on the vector kernel
     anyway: no trace requested (a traced point needs its own context and
@@ -479,13 +452,13 @@ def partition_fusable(points: Sequence[SweepPoint],
     group by (tailored chain, packet_count) -- one batched kernel call
     per group, bucketed by count so no padding packets exist -- with
     plan order preserved inside each group.  Everything else (traces,
-    forced DES, non-analytic chains) lands in ``pooled`` for the
-    per-point path; ``engine='vector'`` on an unsupported chain is
+    forced DES, non-analytic chains) lands in ``per_point`` for
+    :func:`run_point`; ``engine='vector'`` on an unsupported chain is
     deliberately routed there too, so it raises the same
     :class:`ConfigurationError` it always did.
     """
     groups: "OrderedDict[FuseKey, List[int]]" = OrderedDict()
-    pooled: List[int] = []
+    per_point: List[int] = []
     for index in indices:
         point = points[index]
         if not point.trace and point.engine != "des":
@@ -495,8 +468,8 @@ def partition_fusable(points: Sequence[SweepPoint],
                        point.packet_count)
                 groups.setdefault(key, []).append(index)
                 continue
-        pooled.append(index)
-    return groups, pooled
+        per_point.append(index)
+    return groups, per_point
 
 
 def run_fused_group(points: Sequence[SweepPoint],
@@ -507,8 +480,8 @@ def run_fused_group(points: Sequence[SweepPoint],
     :func:`partition_fusable` contract).  Returns one result entry per
     index, bit-exact equal to what :func:`run_point` produces for the
     same untraced points -- same isolation discipline (point lock,
-    hidden context stack, transaction ids reset), no ProcessPool, no
-    pickling, one kernel launch for the whole group.
+    hidden context stack, transaction ids reset), one kernel launch for
+    the whole group.
     """
     from repro.sim.pipeline import reset_transaction_ids
     from repro.sim.vector import run_packet_sweep_vector_batch
@@ -524,17 +497,6 @@ def run_fused_group(points: Sequence[SweepPoint],
         {"throughput_bps": throughput_bps, "mean_latency_ns": mean_latency_ns}
         for throughput_bps, mean_latency_ns in rows
     ]
-
-
-def _pool_chunksize(count: int, workers: int) -> int:
-    """Chunk size for fanning ``count`` points over ``workers`` processes.
-
-    Ceil-divides the work into roughly ``4 * workers`` chunks so every
-    worker gets a few chunks to balance across.  The old floor-divide
-    left the remainder points in undersized tail chunks (and collapsed
-    to chunks of 1 -- maximum pickling overhead -- for small batches).
-    """
-    return max(1, math.ceil(count / (workers * 4)))
 
 
 def point_chain(point: SweepPoint):
@@ -562,20 +524,17 @@ class SweepResult:
     """Deterministically merged outcome of one :class:`SweepRunner` run."""
 
     def __init__(self, plan: SweepPlan, points: List[PointResult],
-                 workers: int, fused_points: int = 0, fused_groups: int = 0,
-                 pooled_points: int = 0, spawned_pool: bool = False) -> None:
+                 fused_points: int = 0, fused_groups: int = 0,
+                 per_point_points: int = 0) -> None:
         self.plan = plan
         self.points = points
-        self.workers = workers
         #: Execution provenance (how the cold work ran), deliberately
         #: kept out of :meth:`to_json`: cache-miss points fused through
-        #: the batched kernel vs executed per-point, batched kernel
-        #: launches, and whether this run spawned its own ProcessPool
-        #: (False when an externally owned executor was reused).
+        #: the batched kernel, batched kernel launches, and points run
+        #: one at a time (traced, ``des``, or non-analytic).
         self.fused_points = fused_points
         self.fused_groups = fused_groups
-        self.pooled_points = pooled_points
-        self.spawned_pool = spawned_pool
+        self.per_point_points = per_point_points
 
     def __len__(self) -> int:
         return len(self.points)
@@ -609,8 +568,8 @@ class SweepResult:
         """Every point's trace concatenated in plan order.
 
         Per-point traces come from per-point fresh contexts, so the
-        concatenation is identical whether the points ran serially, on
-        four workers, or straight out of the cache.
+        concatenation is identical whether the points ran now or came
+        straight out of the cache.
         """
         return "".join(point.trace_jsonl for point in self.points)
 
@@ -623,7 +582,7 @@ class SweepResult:
         hangs the point roots under a synthetic ``serve.request`` ->
         ``serve.execute`` pair (see :func:`repro.obs.tracectx.stitch_spans`).
         Fragments are walked in plan order, so the bytes are identical
-        at any worker count and any cache temperature -- the property
+        at any cache temperature -- the property
         that lets the serving daemon embed the tree in a coalesced
         response.  Returns ``""`` when the plan was not traced.
         """
@@ -642,7 +601,7 @@ class SweepResult:
     def to_json(self) -> Dict[str, Any]:
         """A deterministic JSON-serialisable summary.
 
-        Deliberately excludes wall-clock data *and* the worker count:
+        Deliberately excludes wall-clock data and execution provenance:
         the artifact is a pure function of the plan, so two runs of the
         same plan diff clean no matter how they were executed.
         """
@@ -670,46 +629,33 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 class SweepRunner:
-    """Executes a :class:`SweepPlan` across workers with caching.
+    """Executes a :class:`SweepPlan` in-process with caching.
 
     Cache-miss points are partitioned by the **fused planner**
     (:func:`partition_fusable`): vector-eligible untraced points group
-    by (tailored chain, packet_count) and execute in-process through the
-    batched kernel (:func:`repro.sim.vector.run_packet_sweep_vector_batch`)
-    -- no ProcessPool, no pickling, one kernel launch per group.  The
-    remainder (traced points, forced DES, non-analytic chains) runs
-    per-point: in-process when ``workers=1``, else fanned out over a
-    ``ProcessPoolExecutor``.  ``executor`` injects an externally owned
-    pool (the serving daemon keeps one resident) instead of spawning one
-    per run; ``fuse=False`` disables the planner entirely (benchmarks
-    time the per-point path against it).
+    by (tailored chain, packet_count) and execute through the batched
+    kernel (:func:`repro.sim.vector.run_packet_sweep_vector_batch`), one
+    kernel launch per group.  The remainder (traced points, forced DES,
+    non-analytic chains) runs per-point through :func:`run_point`.
 
     Results are merged in plan order no matter how they executed, and
-    the batched kernel is pinned bit-exact to the per-point tiers, so
-    fusing, worker count, and executor ownership are all invisible in
-    the output -- determinism tests assert byte-identical results and
-    traces across every combination.
+    the batched kernel is pinned bit-exact to the per-point path, so
+    fusing is invisible in the output -- determinism tests assert
+    byte-identical results and traces.
     """
 
-    def __init__(self, plan: SweepPlan, workers: int = 1,
+    def __init__(self, plan: SweepPlan,
                  cache: Optional[SweepCache] = None,
-                 use_cache: bool = True, engine: str = "auto",
-                 fuse: bool = True,
-                 executor: Optional[Executor] = None) -> None:
-        if workers < 1:
-            raise ConfigurationError("workers must be >= 1")
+                 use_cache: bool = True, engine: str = "auto") -> None:
         if engine not in ENGINES:
             raise ConfigurationError(
                 f"unknown sweep engine {engine!r}; choose from "
                 f"{', '.join(ENGINES)}"
             )
         self.plan = plan
-        self.workers = workers
         self.cache = cache if cache is not None else DEFAULT_CACHE
         self.use_cache = use_cache
         self.engine = engine
-        self.fuse = fuse
-        self.executor = executor
 
     def run(self) -> SweepResult:
         points = self.plan.expand()
@@ -719,8 +665,8 @@ class SweepRunner:
         # Chains are resolved through the process-wide memo: built once
         # per (app, device, variant), which is cheap relative to a
         # point's simulation and exactly what the content key needs.
-        # The serial path reuses them for execution too
-        # (run_packet_sweep resets the chain, so reuse is deterministic).
+        # Execution reuses them too (every point resets the chain, so
+        # reuse is deterministic).
         keys: List[str] = []
         for point in points:
             chain = _chain_for(point)
@@ -740,8 +686,7 @@ class SweepRunner:
         pending = [index for index, entry in enumerate(entries)
                    if entry is None]
 
-        fused_points = fused_groups = pooled_points = 0
-        spawned_pool = False
+        fused_points = fused_groups = per_point_points = 0
         if pending:
             # Intra-run dedup: two pending points with equal content keys
             # are the same pure computation (traced points fold the chain
@@ -753,25 +698,16 @@ class SweepRunner:
                 first = duplicates.setdefault(keys[index], index)
                 if first == index:
                     executed.append(index)
-            if self.fuse:
-                groups, pooled = partition_fusable(points, executed)
-            else:
-                groups, pooled = OrderedDict(), list(executed)
+            groups, per_point = partition_fusable(points, executed)
             for indices in groups.values():
                 for index, entry in zip(indices,
                                         run_fused_group(points, indices)):
                     entries[index] = entry
                 fused_points += len(indices)
                 fused_groups += 1
-            pooled_points = len(pooled)
-            if pooled:
-                if self.workers > 1:
-                    spawned_pool = self._run_pooled(points, pooled, entries)
-                else:
-                    for index in pooled:
-                        point = points[index]
-                        entries[index] = _run_chain_point(
-                            _chain_for(point), point)
+            per_point_points = len(per_point)
+            for index in per_point:
+                entries[index] = run_point(points[index])
             for index in pending:
                 if entries[index] is None:
                     entries[index] = entries[duplicates[keys[index]]]
@@ -792,44 +728,14 @@ class SweepRunner:
             )
             for index, (point, key, entry) in enumerate(zip(points, keys, entries))
         ]
-        return SweepResult(self.plan, results, self.workers,
+        return SweepResult(self.plan, results,
                            fused_points=fused_points,
                            fused_groups=fused_groups,
-                           pooled_points=pooled_points,
-                           spawned_pool=spawned_pool)
-
-    def _run_pooled(self, points: List[SweepPoint], pending: List[int],
-                    entries: List[Optional[Dict[str, Any]]]) -> bool:
-        """Fan the pending points out over a process pool, merge in order.
-
-        Uses the injected :attr:`executor` when one was given (and
-        leaves its lifecycle to its owner); otherwise spawns a pool for
-        this run.  Returns whether a pool was spawned.
-        """
-        specs: Iterable[Tuple[Any, ...]] = [
-            dataclasses.astuple(points[index]) for index in pending
-        ]
-        chunksize = _pool_chunksize(len(pending), self.workers)
-        if self.executor is not None:
-            for index, entry in zip(pending,
-                                    self.executor.map(_execute_point, specs,
-                                                      chunksize=chunksize)):
-                entries[index] = entry
-            return False
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            for index, entry in zip(pending,
-                                    pool.map(_execute_point, specs,
-                                             chunksize=chunksize)):
-                entries[index] = entry
-        return True
+                           per_point_points=per_point_points)
 
 
-def run_plan(plan: SweepPlan, workers: int = 1,
-             cache: Optional[SweepCache] = None,
-             use_cache: bool = True, engine: str = "auto",
-             fuse: bool = True,
-             executor: Optional[Executor] = None) -> SweepResult:
+def run_plan(plan: SweepPlan, cache: Optional[SweepCache] = None,
+             use_cache: bool = True, engine: str = "auto") -> SweepResult:
     """Convenience wrapper: build a runner and run the plan once."""
-    return SweepRunner(plan, workers=workers, cache=cache,
-                       use_cache=use_cache, engine=engine, fuse=fuse,
-                       executor=executor).run()
+    return SweepRunner(plan, cache=cache, use_cache=use_cache,
+                       engine=engine).run()

@@ -1,12 +1,12 @@
-"""Differential conformance fuzzer across the engine tiers.
+"""Differential conformance fuzzer across the execution paths.
 
-The reproduction's central determinism claim is that its three
-execution tiers -- the content-keyed :class:`repro.runtime.sweep.SweepCache`,
-the closed-form numpy kernel (:mod:`repro.sim.vector`), and the scalar
-DES-equivalent loop -- are *exactly* interchangeable: same throughputs,
-same latencies, byte-identical traces and metrics.  The unit suite pins
-that equality on hand-picked chains; this module hunts for the chains
-nobody hand-picked.
+The reproduction's central determinism claim is that its execution
+paths -- the content-keyed :class:`repro.runtime.sweep.SweepCache`, the
+closed-form numpy kernel (:mod:`repro.sim.vector`), and the
+per-Transaction oracle loop -- are *exactly* interchangeable: same
+throughputs, same latencies, byte-identical traces and metrics.  The
+unit suite pins that equality on hand-picked chains; this module hunts
+for the chains nobody hand-picked.
 
 :class:`DifferentialFuzzer` generates random **valid**
 :class:`repro.scenario.Scenario` objects from one seeded
@@ -17,21 +17,19 @@ vector-supported) keys: a scenario that lights up new coverage joins
 the corpus and later scenarios mutate corpus members instead of
 starting from scratch.
 
-Each scenario passes through five conformance checks:
+Each scenario passes through four conformance checks:
 
 * **serialization** -- canonical-JSON round trip is the identity, the
   canonical text is a fixpoint, and :meth:`Scenario.scenario_id` is
   invariant under the engine field;
-* **engine-equivalence** -- every expanded point runs on the forced
-  ``des`` tier and (when the chain supports it) the forced ``vector``
-  tier; entries must match **exactly** -- floats, integers, and the
-  full ``trace_jsonl`` -- and the first point's metrics snapshot and
-  trace export must match across tiers too;
-* **vector-batch** -- every vector-eligible untraced point group also
-  runs through the fused batched kernel
-  (:func:`repro.sim.vector.run_packet_sweep_vector_batch`); batched,
-  per-point vector, and DES must agree exactly, including the
-  folded-back stage occupancy/statistics;
+* **kernel-oracle** -- every vector-eligible point runs on the forced
+  ``des`` engine (the oracle) and the forced ``vector`` engine (a
+  one-row kernel call); entries must match **exactly** -- floats and the
+  full ``trace_jsonl`` -- as must the stage occupancy/statistics each
+  leaves on the chain, and the first point's metrics snapshot and trace
+  export.  Untraced points then run grouped through the fused kernel
+  (:func:`repro.sim.vector.run_packet_sweep_vector_batch`), whose rows
+  and folded-back stage state must equal the oracle's too;
 * **cache-tier** -- the plan runs cold then warm against a private
   :class:`SweepCache`; the warm run must be all hits and numerically
   and trace-wise identical to the cold run;
@@ -214,8 +212,7 @@ class DifferentialFuzzer:
         self._baseline_memo: Dict[str, Optional[str]] = {}
         self.checks: List[Tuple[str, CheckFn]] = [
             ("serialization", self.check_serialization),
-            ("engine-equivalence", self.check_engine_equivalence),
-            ("vector-batch", self.check_vector_batch),
+            ("kernel-oracle", self.check_kernel_oracle),
             ("cache-tier", self.check_cache_tier),
             ("baseline-capabilities", self.check_baseline_capabilities),
             ("epoch-delta", self.check_epoch_delta),
@@ -401,57 +398,20 @@ class DifferentialFuzzer:
                 return f"scenario_id depends on engine={engine!r}"
         return None
 
-    def check_engine_equivalence(self, scenario: Scenario) -> Optional[str]:
-        """Forced-vector and forced-DES runs must match exactly."""
-        if scenario.kind != "sweep":
-            return None
-        from repro.runtime.sweep import point_chain, run_point
-        from repro.sim.vector import chain_supports_vector
+    def check_kernel_oracle(self, scenario: Scenario) -> Optional[str]:
+        """The vector kernel must match the per-Transaction oracle exactly.
 
-        first_supported = True
-        for point in scenario.expand_points():
-            if not chain_supports_vector(point_chain(point)):
-                continue
-            des = run_point(dataclasses.replace(point, engine="des"))
-            vec = run_point(dataclasses.replace(point, engine="vector"))
-            if vec != des:
-                diff = sorted(key for key in set(des) | set(vec)
-                              if des.get(key) != vec.get(key))
-                return (f"vector != des at {point.label()}: "
-                        f"mismatched {', '.join(diff)}")
-            if first_supported:
-                first_supported = False
-                mismatch = self._surfaces_mismatch(point)
-                if mismatch:
-                    return mismatch
-        return None
-
-    def _surfaces_mismatch(self, point) -> Optional[str]:
-        """Metrics snapshot + trace export must match across tiers."""
-        from repro.runtime.sweep import point_chain
-
-        chain = point_chain(point)
-        surfaces = {}
-        for engine in ("des", "vector"):
-            surfaces[engine] = _observable_surface(chain, point, engine)
-        if surfaces["des"] != surfaces["vector"]:
-            metrics_equal = (surfaces["des"][0] == surfaces["vector"][0])
-            what = "trace export" if metrics_equal else "metrics snapshot"
-            return (f"{what} differs between vector and des "
-                    f"at {point.label()}")
-        return None
-
-    def check_vector_batch(self, scenario: Scenario) -> Optional[str]:
-        """Fused multi-point execution must match per-point exactly.
-
-        Every vector-eligible untraced point group (same tailored chain,
-        same packet count -- the fused planner's bucketing) is executed
-        three ways: forced DES per-point, forced vector per-point, and
-        through the batched kernel
-        (:func:`repro.sim.vector.run_packet_sweep_vector_batch`).  All
-        three must agree exactly -- result floats *and* the folded-back
-        stage occupancy/statistics the batch leaves on the chain, which
-        must equal the sequential per-point loop's state bit for bit.
+        Every vector-eligible point runs twice through :func:`run_point`:
+        forced ``des`` (the oracle loop) and forced ``vector`` (a one-row
+        kernel call, behind the traced head for traced points).  Result
+        entries and the stage occupancy/statistics each run leaves on
+        the chain must agree, and so must the first point's metrics
+        snapshot and trace export.  Untraced points are then grouped the
+        way the fused planner groups them (same tailored chain, same
+        packet count) and run through
+        :func:`repro.sim.vector.run_packet_sweep_vector_batch`: every row
+        must equal its oracle entry, and the state the batch folds back
+        must equal what the oracle leaves after the group's last point.
         """
         if scenario.kind != "sweep":
             return None
@@ -461,44 +421,62 @@ class DifferentialFuzzer:
         from repro.sim.vector import (chain_supports_vector,
                                       run_packet_sweep_vector_batch)
 
-        groups: Dict[Tuple[Any, ...], List[Any]] = {}
+        groups: Dict[Tuple[Any, ...], List[Tuple[Any, Any, Any]]] = {}
+        first_supported = True
         for point in scenario.expand_points():
-            if point.trace:
-                continue   # the planner never fuses traced points
-            if not chain_supports_vector(point_chain(point)):
+            chain = point_chain(point)
+            if not chain_supports_vector(chain):
                 continue
-            key = (point.app, point.device, point.with_harmonia,
-                   point.packet_count)
-            groups.setdefault(key, []).append(point)
-        for points in groups.values():
-            des = [run_point(dataclasses.replace(point, engine="des"))
-                   for point in points]
-            per_point = [run_point(dataclasses.replace(point, engine="vector"))
-                         for point in points]
+            oracle = run_point(dataclasses.replace(point, engine="des"))
+            oracle_state = _stage_state(chain)
+            kernel = run_point(dataclasses.replace(point, engine="vector"))
+            if kernel != oracle:
+                diff = sorted(key for key in set(oracle) | set(kernel)
+                              if oracle.get(key) != kernel.get(key))
+                return (f"kernel != oracle at {point.label()}: "
+                        f"mismatched {', '.join(diff)}")
+            if _stage_state(chain) != oracle_state:
+                return (f"kernel stage state diverged from the oracle "
+                        f"at {point.label()}")
+            if first_supported:
+                first_supported = False
+                mismatch = self._surfaces_mismatch(point)
+                if mismatch:
+                    return mismatch
+            if not point.trace:   # the planner never fuses traced points
+                key = (point.app, point.device, point.with_harmonia,
+                       point.packet_count)
+                groups.setdefault(key, []).append(
+                    (point, oracle, oracle_state))
+        for members in groups.values():
+            points = [point for point, _, _ in members]
             chain = point_chain(points[0])
-            sequential_state = [
-                (stage._next_free_ps, stage.transactions_processed,
-                 stage.busy_ps) for stage in chain.stages]
             with isolated_context_stack():
                 reset_transaction_ids()
                 rows = run_packet_sweep_vector_batch(
                     chain, [point.packet_size_bytes for point in points],
                     points[0].packet_count)
-            batched_state = [
-                (stage._next_free_ps, stage.transactions_processed,
-                 stage.busy_ps) for stage in chain.stages]
-            for point, row, vec, scalar in zip(points, rows, per_point, des):
-                batched = {"throughput_bps": row[0],
-                           "mean_latency_ns": row[1]}
-                if batched != vec:
-                    return (f"batched != per-point vector at "
-                            f"{point.label()}")
-                if batched != scalar:
-                    return f"batched != des at {point.label()}"
-            if batched_state != sequential_state:
-                return (f"batched stage state diverged from the "
-                        f"sequential per-point loop at "
-                        f"{points[-1].label()}")
+            for (point, oracle, _), row in zip(members, rows):
+                fused = {"throughput_bps": row[0], "mean_latency_ns": row[1]}
+                if fused != oracle:
+                    return f"fused kernel != oracle at {point.label()}"
+            if _stage_state(chain) != members[-1][2]:
+                return (f"fused kernel stage state diverged from the "
+                        f"oracle at {points[-1].label()}")
+        return None
+
+    def _surfaces_mismatch(self, point) -> Optional[str]:
+        """Metrics snapshot + trace export must match kernel vs oracle."""
+        from repro.runtime.sweep import point_chain
+
+        chain = point_chain(point)
+        oracle = _observable_surface(chain, point, "des")
+        kernel = _observable_surface(chain, point, "vector")
+        if oracle != kernel:
+            what = ("trace export" if oracle[0] == kernel[0]
+                    else "metrics snapshot")
+            return (f"{what} differs between kernel and oracle "
+                    f"at {point.label()}")
         return None
 
     def check_cache_tier(self, scenario: Scenario) -> Optional[str]:
@@ -811,6 +789,12 @@ class DifferentialFuzzer:
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
+
+def _stage_state(chain) -> List[Tuple[int, int, int]]:
+    """Each stage's occupancy and statistics, for fold-back comparisons."""
+    return [(stage._next_free_ps, stage.transactions_processed,
+             stage.busy_ps) for stage in chain.stages]
+
 
 def _observable_surface(chain, point, engine: str):
     """(metrics snapshot, trace JSONL) of one traced point on ``engine``.

@@ -440,10 +440,11 @@ class Scenario:
     """One declarative, versioned description of a run.
 
     A scenario is *pure configuration*: two equal scenarios produce
-    byte-identical results, traces, and manifests on any engine tier,
-    at any worker count.  The ``engine`` field selects an execution
-    tier but is excluded from :meth:`scenario_id` -- tiers are pinned
-    exactly equal, so they cannot be part of identity.
+    byte-identical results, traces, and manifests on either engine, at
+    any build-farm worker count.  The ``engine`` field selects the
+    vector kernel or the DES oracle loop but is excluded from
+    :meth:`scenario_id` -- the two are pinned exactly equal, so they
+    cannot be part of identity.
     """
 
     kind: str
@@ -519,10 +520,10 @@ class Scenario:
     def scenario_id(self) -> str:
         """sha256 identity of the scenario's content, **excluding engine**.
 
-        The cache/vector/DES tiers are pinned to exact equality, so the
-        engine choice changes how a scenario runs, never what it
-        computes -- like ``SweepPoint.engine``, it stays out of every
-        content key (see ``docs/performance.md``).
+        The cache, the vector kernel and the DES oracle loop are pinned
+        to exact equality, so the engine choice changes how a scenario
+        runs, never what it computes -- like ``SweepPoint.engine``, it
+        stays out of every content key (see ``docs/performance.md``).
         """
         payload = self.to_json()
         del payload["engine"]

@@ -65,11 +65,10 @@ Every request is observable three ways (``docs/observability.md``):
 
 import asyncio
 import json
-import multiprocessing
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
@@ -113,7 +112,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0                      # 0 = let the kernel pick (tests)
     exec_workers: int = 4              # scenario-execution thread pool
-    pool_workers: int = 4              # resident sweep ProcessPool width
     max_queue: int = 32                # bounded execution queue (503 beyond)
     quota_rps: float = 0.0             # per-tenant tokens/s; <= 0 disables
     quota_burst: Optional[float] = None
@@ -131,8 +129,6 @@ class ServeConfig:
     def validate(self) -> None:
         if self.exec_workers < 1:
             raise ConfigurationError("exec_workers must be >= 1")
-        if self.pool_workers < 1:
-            raise ConfigurationError("pool_workers must be >= 1")
         if self.max_body < 1:
             raise ConfigurationError("max_body must be >= 1")
         if self.telemetry_window_s <= 0:
@@ -173,16 +169,6 @@ class ServingDaemon:
         self.executor = ThreadPoolExecutor(
             max_workers=self.config.exec_workers,
             thread_name_prefix="serve-exec")
-        # One resident ProcessPool for the whole daemon lifetime: sweep
-        # requests whose points cannot fuse (traces, forced DES) fan out
-        # to it instead of spawning a pool per request.  Construction
-        # starts no processes; workers appear lazily on first dispatch.
-        # The spawn start method keeps worker creation safe from the
-        # multi-threaded request executor (a fork could inherit another
-        # request thread's held locks).
-        self.pool = ProcessPoolExecutor(
-            max_workers=self.config.pool_workers,
-            mp_context=multiprocessing.get_context("spawn"))
         self.started_at = time.monotonic()
         # Serve-span ring: wall-clock picoseconds since daemon start
         # (the simulators' buses run on sim-time; requests live on the
@@ -246,7 +232,6 @@ class ServingDaemon:
             server.close()
             await server.wait_closed()
             self.executor.shutdown(wait=True)
-            self.pool.shutdown(wait=True)
             if self.access_log is not None:
                 self.access_log.close()
             if self.config.cache_file:
@@ -433,10 +418,6 @@ class ServingDaemon:
                 "max_entries": self.cache.max_entries,
                 "evictions": self.cache.evictions,
             },
-            "pool": {
-                "max_workers": self.config.pool_workers,
-                "resident": True,
-            },
             "orchestrator": {
                 "runs": self.metrics.counter(
                     "serve.orchestrator.runs").value,
@@ -521,16 +502,9 @@ class ServingDaemon:
 
                 def _work() -> None:
                     try:
-                        kwargs: Dict[str, Any] = {}
-                        if scenario.kind == "sweep":
-                            # Cold-cache sweeps go through the fused
-                            # planner; points that cannot fuse reuse
-                            # the resident pool instead of spawning one.
-                            kwargs = {"workers": self.config.pool_workers,
-                                      "executor": self.pool}
                         outcome = run_scenario(
                             scenario, cache=self.cache, store=self.store,
-                            slo=slo, trace_context=trace_ctx, **kwargs)
+                            slo=slo, trace_context=trace_ctx)
                         self._record_execution(outcome)
                         body = outcome.response_text().encode("utf-8")
                         self.coalescer.resolve(key, future, body)
@@ -637,11 +611,10 @@ class ServingDaemon:
     def _record_execution(self, outcome: Any) -> None:
         """Fold one execution's planner provenance into the registry.
 
-        ``serve.sweep.fused_points`` / ``pooled_points`` count how the
-        cold work of sweep requests actually ran; ``serve.pool.dispatches``
-        counts resident-pool fan-outs and ``serve.pool.request_spawns``
-        stays zero for as long as no request ever spawned its own
-        executor -- the invariant ``benchmarks/serve_smoke.py`` gates.
+        ``serve.sweep.fused_points`` / ``per_point_points`` count how
+        the cold work of sweep requests actually ran: batched through
+        the kernel, or one point at a time (traced, ``des``, or
+        non-analytic), all inside this process.
         Epoch-orchestrated fleet requests fold their day's totals into
         ``serve.orchestrator.*`` and the telemetry hub's windows.
         """
@@ -670,12 +643,9 @@ class ServingDaemon:
                                    meta["fused_points"])
             self.metrics.increment("serve.sweep.fused_groups",
                                    meta["fused_groups"])
-        if meta.get("pooled_points"):
-            self.metrics.increment("serve.sweep.pooled_points",
-                                   meta["pooled_points"])
-            self.metrics.increment("serve.pool.dispatches")
-        if meta.get("spawned_pool"):
-            self.metrics.increment("serve.pool.request_spawns")
+        if meta.get("per_point_points"):
+            self.metrics.increment("serve.sweep.per_point_points",
+                                   meta["per_point_points"])
 
     def _parse_scenario(self, payload: bytes) -> Scenario:
         if not payload:

@@ -165,17 +165,14 @@ def _require_kind(scenario: Scenario, kind: str) -> None:
         )
 
 
-def run_sweep_service(scenario: Scenario, *, workers: int = 1,
-                      cache: Any = None, use_cache: bool = True,
-                      slo: Optional[str] = None, fuse: bool = True,
-                      executor: Any = None) -> ServiceResult:
+def run_sweep_service(scenario: Scenario, *, cache: Any = None,
+                      use_cache: bool = True,
+                      slo: Optional[str] = None) -> ServiceResult:
     """Execute a sweep scenario (the ``repro.cli sweep`` core).
 
-    Cache misses route through the fused multi-point planner by default
-    (``fuse=False`` forces per-point execution); ``executor`` injects a
-    resident ProcessPool so a long-lived caller -- the serving daemon --
-    never spawns one per request.  The planner's provenance (fused vs
-    pooled point counts, whether a pool was spawned) lands in ``meta``.
+    Cache misses route through the fused multi-point planner; the
+    planner's provenance (fused and per-point point counts, kernel
+    launches) lands in ``meta``.
     """
     from repro.obs.slo import registry_from_sweep
     from repro.runtime.sweep import SweepPlan, SweepRunner
@@ -183,9 +180,8 @@ def run_sweep_service(scenario: Scenario, *, workers: int = 1,
     _require_kind(scenario, "sweep")
     monitor = slo_monitor_for("sweep", slo)   # fail loud before the run
     plan = SweepPlan.from_scenario(scenario)
-    runner = SweepRunner(plan, workers=workers, cache=cache,
-                         use_cache=use_cache, engine=scenario.engine,
-                         fuse=fuse, executor=executor)
+    runner = SweepRunner(plan, cache=cache, use_cache=use_cache,
+                         engine=scenario.engine)
     start = time.perf_counter()
     result = runner.run()
     elapsed = time.perf_counter() - start
@@ -212,8 +208,7 @@ def run_sweep_service(scenario: Scenario, *, workers: int = 1,
         meta={
             "fused_points": result.fused_points,
             "fused_groups": result.fused_groups,
-            "pooled_points": result.pooled_points,
-            "spawned_pool": result.spawned_pool,
+            "per_point_points": result.per_point_points,
         },
     )
 
@@ -395,22 +390,20 @@ def run_scenario(scenario: Scenario, *, workers: int = 1, cache: Any = None,
                  store: Any = None, use_cache: bool = True,
                  slo: Optional[str] = None,
                  policies: Optional[Sequence[str]] = None,
-                 executor: Any = None,
                  trace_context: Any = None) -> ServiceResult:
     """Dispatch one scenario to its kind's service function.
 
     The daemon's single entry point: resident warm state (``cache`` for
-    sweeps, ``store`` for builds, ``executor`` for pooled sweep points)
-    is threaded through; options a kind does not use are ignored by
+    sweeps, ``store`` for builds) is threaded through; options a kind
+    does not use (``workers`` only sizes the build farm) are ignored by
     construction, not error.  ``trace_context`` roots fleet/build
     context traces under the request's trace id; traced sweeps ignore
     it deliberately -- their stitched tree must stay a pure function of
     the scenario (see :meth:`ServiceResult.response_json`).
     """
     if scenario.kind == "sweep":
-        return run_sweep_service(scenario, workers=workers, cache=cache,
-                                 use_cache=use_cache, slo=slo,
-                                 executor=executor)
+        return run_sweep_service(scenario, cache=cache,
+                                 use_cache=use_cache, slo=slo)
     if scenario.kind == "fleet":
         return run_fleet_service(scenario, policies=policies, slo=slo,
                                  trace_context=trace_context)

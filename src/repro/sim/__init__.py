@@ -25,15 +25,7 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.fifo import AsyncFifo, FifoFullError, SyncFifo
 from repro.sim.pipeline import PipelineChain, PipelineStage, Transaction
 from repro.sim.stats import Counter, LatencyStats, ThroughputMeter
-from repro.sim.vector import (
-    ENGINES,
-    TrainTiming,
-    chain_supports_vector,
-    process_batch_vector,
-    resolve_engine,
-    run_packet_sweep_vector,
-    simulate_train,
-)
+from repro.sim.vector import ENGINES, chain_supports_vector, resolve_engine
 
 __all__ = [
     "AsyncFifo",
@@ -48,11 +40,7 @@ __all__ = [
     "Simulator",
     "SyncFifo",
     "ThroughputMeter",
-    "TrainTiming",
     "Transaction",
     "chain_supports_vector",
-    "process_batch_vector",
     "resolve_engine",
-    "run_packet_sweep_vector",
-    "simulate_train",
 ]

@@ -28,11 +28,11 @@ from repro.sim.clock import ClockDomain
 class _TransactionIdCounter:
     """Resettable allocator behind :attr:`Transaction.txn_id`.
 
-    The seed used a module-global ``itertools.count()``, so the ids a
-    run observed depended on every Transaction any earlier test or
-    reused pool worker had ever created.  A resettable counter keeps
-    allocation O(1) while letting each run (the sweep runner resets it
-    per point) hand out the same ids every time.
+    A module-global ``itertools.count()`` would make the ids a run
+    observed depend on every Transaction any earlier test or sweep in
+    the process had created.  A resettable counter keeps allocation O(1)
+    while letting each run (the sweep runner resets it per point) hand
+    out the same ids every time.
     """
 
     __slots__ = ("_next",)
@@ -232,68 +232,6 @@ class PipelineChain:
         transaction.completed_ps = last_out
         return transaction
 
-    def process_batch(
-        self,
-        size_bytes: int,
-        gap_ps: float,
-        start_index: int,
-        count: int,
-        latencies: Optional[List[int]] = None,
-    ) -> Tuple[int, int, int]:
-        """Push ``count`` equal-sized transactions through the chain.
-
-        Packet ``i`` (absolute index ``start_index + i``) arrives at
-        ``int(round(index * gap_ps))`` -- the same arrival law as the
-        per-Transaction sweep loop.  Returns ``(first_completion_ps,
-        last_completion_ps, total_latency_ps)`` and, when ``latencies``
-        is given, appends each packet's latency to it.
-
-        This is the sweep hot path: per-stage constants (period, busy
-        time, fixed latency, last-beat offset) are hoisted out of the
-        packet loop, no Transaction objects are allocated, and stage
-        occupancy/statistics are folded back in bulk afterwards --
-        observationally identical to ``count`` :meth:`process` calls
-        (pinned by tests against :func:`run_packet_sweep_reference`).
-        """
-        if count <= 0:
-            return 0, 0, 0
-        params = []
-        for stage in self.stages:
-            period = stage.clock.period_ps
-            beats = stage.beats(size_bytes)
-            busy = (beats * stage.initiation_interval
-                    + stage.per_transaction_overhead_cycles) * period
-            latency = stage.latency_cycles * period
-            tail = (stage.latency_cycles
-                    + (beats - 1) * stage.initiation_interval) * period
-            params.append([stage.clock.next_edge_ps, busy, latency, tail,
-                           stage._next_free_ps, busy * count])
-        first_completion = None
-        last_out = 0
-        total_latency = 0
-        collect = latencies.append if latencies is not None else None
-        for index in range(start_index, start_index + count):
-            arrival = int(round(index * gap_ps))
-            time_ps = arrival
-            for entry in params:
-                free_ps = entry[4]
-                start = time_ps if time_ps > free_ps else free_ps
-                start = entry[0](start)
-                entry[4] = start + entry[1]
-                last_out = start + entry[3]
-                time_ps = start + entry[2]
-            latency = last_out - arrival
-            total_latency += latency
-            if collect is not None:
-                collect(latency)
-            if first_completion is None:
-                first_completion = last_out
-        for stage, entry in zip(self.stages, params):
-            stage._next_free_ps = entry[4]
-            stage.transactions_processed += count
-            stage.busy_ps += entry[5]
-        return first_completion, last_out, total_latency
-
     def process_traced(self, transaction: Transaction, trace,
                        arrival_ps: Optional[int] = None) -> Transaction:
         """Like :meth:`process`, emitting one trace span per stage.
@@ -352,85 +290,88 @@ def run_packet_sweep(
     the sweep point is wrapped in a trace span, the first
     ``trace_packets`` transactions emit per-stage child spans, and the
     point's latency histogram and throughput land in the metrics
-    registry under ``sweep.<chain>.<size>B``.  With no context the hot
-    loop is untouched.
+    registry under ``sweep.<chain>.<size>B``.  With no context the point
+    runs untraced.
 
-    ``engine`` selects how the untraced bulk of the train executes:
-    ``"auto"`` (the default) uses the closed-form numpy kernel in
-    :mod:`repro.sim.vector` whenever the chain is analytic, ``"vector"``
-    demands it, and ``"des"`` forces the scalar reference-semantics
-    loop.  The kernel is pinned to exact integer equality against the
-    scalar path, so the engine is invisible in the results.
+    ``engine`` selects the implementation: ``"auto"`` (the default) runs
+    the closed-form kernel in :mod:`repro.sim.vector` whenever the chain
+    is analytic -- an untraced point is a one-row
+    :func:`~repro.sim.vector.run_packet_sweep_vector_batch` -- and
+    ``"vector"`` demands it.  ``"des"``, and any chain whose stages
+    override :meth:`PipelineStage.process`, runs the per-Transaction
+    oracle loop of :func:`run_packet_sweep_reference`.  The kernel is
+    pinned to exact integer equality against the oracle, so the engine
+    is invisible in the results.
     """
-    from repro.sim.vector import process_batch_vector, resolve_engine
+    from repro.sim.vector import (resolve_engine, run_packet_sweep_vector_batch,
+                                  simulate_trains)
 
     use_vector = resolve_engine(chain, engine)
     if context is None:
         from repro.runtime import current_context
 
         context = current_context()
-    chain.reset()
     # A sweep point is a run boundary: ids restart at zero so the txn
     # ids embedded in traced spans are a pure function of the point, not
-    # of whatever ran earlier in this process (test order, pool-worker
-    # reuse, a previous sweep on the same context).
+    # of whatever ran earlier in this process (test order, a previous
+    # sweep on the same context).
     reset_transaction_ids()
+    if context is None:
+        if use_vector:
+            loads = None if offered_load_bps is None else [offered_load_bps]
+            return run_packet_sweep_vector_batch(
+                chain, [packet_size_bytes], packet_count, loads)[0]
+        return run_packet_sweep_reference(
+            chain, packet_size_bytes, packet_count, offered_load_bps)
+    chain.reset()
     if offered_load_bps is None:
         # Saturate the chain without unbounded queueing: offer slightly
         # under the bottleneck's effective bandwidth for this size.
         offered_load_bps = chain.bandwidth_bps(packet_size_bytes) * 0.98
     gap_ps = packet_size_bytes * 8 / offered_load_bps * 1e12
-    total_latency_ps = 0
+    point_span = context.trace.begin(
+        f"sweep.{chain.name}.{packet_size_bytes}B", ts_ps=0,
+        packets=packet_count,
+    )
+    traced_head = min(trace_packets, packet_count)
+    # The traced head always runs one Transaction at a time; the oracle
+    # engine keeps going that way, the kernel takes over the tail.
+    per_txn = traced_head if use_vector else packet_count
+    latencies: List[int] = []
     first_completion = None
     last_completion = 0
-    point_span = None
-    latencies: Optional[List[int]] = None
-    if context is not None:
-        point_span = context.trace.begin(
-            f"sweep.{chain.name}.{packet_size_bytes}B", ts_ps=0,
-            packets=packet_count,
-        )
-        latencies = []
-    traced_head = min(trace_packets, packet_count) if latencies is not None else 0
-    for index in range(traced_head):
+    for index in range(per_txn):
         arrival = int(round(index * gap_ps))
         txn = Transaction(size_bytes=packet_size_bytes, created_ps=arrival)
-        chain.process_traced(txn, context.trace)
-        latency_ps = txn.completed_ps - arrival
-        total_latency_ps += latency_ps
-        latencies.append(latency_ps)
+        if index < traced_head:
+            chain.process_traced(txn, context.trace)
+        else:
+            chain.process(txn)
+        latencies.append(txn.completed_ps - arrival)
         if first_completion is None:
             first_completion = txn.completed_ps
         last_completion = txn.completed_ps or last_completion
-    if packet_count > traced_head:
-        if use_vector:
-            first_batch, last_batch, batch_latency = process_batch_vector(
-                chain, packet_size_bytes, gap_ps, traced_head,
-                packet_count - traced_head, latencies,
-            )
-        else:
-            first_batch, last_batch, batch_latency = chain.process_batch(
-                packet_size_bytes, gap_ps, traced_head,
-                packet_count - traced_head, latencies,
-            )
-        total_latency_ps += batch_latency
+    if packet_count > per_txn:
+        import numpy as np
+
+        indices = np.arange(per_txn, packet_count, dtype=np.float64)
+        arrivals = np.rint(indices * gap_ps).astype(np.int64)
+        timing = simulate_trains(chain, arrivals[None, :], packet_size_bytes)
+        latencies.extend(timing.latencies_ps[0].tolist())
         if first_completion is None:
-            first_completion = first_batch
-        last_completion = last_batch
+            first_completion = int(timing.completed_ps[0, 0])
+        last_completion = int(timing.completed_ps[0, -1])
     # Steady-state window: first completion to last completion, so the
     # pipeline's fill latency does not bias the throughput of a finite
     # packet train.
     duration_ps = max(last_completion - (first_completion or 0), 1)
     throughput_bps = (packet_count - 1) * packet_size_bytes * 8 / (duration_ps / 1e12)
-    mean_latency_ns = total_latency_ps / packet_count / 1_000
-    if context is not None:
-        ns = context.metrics.namespace(
-            f"sweep.{chain.name}.{packet_size_bytes}B"
-        )
-        ns.histogram("latency_ps").extend(latencies)
-        ns.set_gauge("throughput_gbps", throughput_bps / 1e9)
-        ns.set_gauge("mean_latency_ns", mean_latency_ns)
-        context.trace.end(point_span, ts_ps=last_completion)
+    mean_latency_ns = sum(latencies) / packet_count / 1_000
+    ns = context.metrics.namespace(f"sweep.{chain.name}.{packet_size_bytes}B")
+    ns.histogram("latency_ps").extend(latencies)
+    ns.set_gauge("throughput_gbps", throughput_bps / 1e9)
+    ns.set_gauge("mean_latency_ns", mean_latency_ns)
+    context.trace.end(point_span, ts_ps=last_completion)
     return throughput_bps, mean_latency_ns
 
 
@@ -440,12 +381,13 @@ def run_packet_sweep_reference(
     packet_count: int,
     offered_load_bps: Optional[float] = None,
 ) -> Tuple[float, float]:
-    """The original per-Transaction sweep loop, preserved verbatim.
+    """The per-Transaction sweep loop: the oracle for the vector kernel.
 
-    Kept for two jobs: tests pin :func:`run_packet_sweep`'s fast path to
-    it transaction for transaction, and ``benchmarks/sweep_smoke.py``
-    times it as the serial baseline the optimised runner is measured
-    against.  Do not optimise this function.
+    Three jobs: tests pin the kernel to it transaction for transaction,
+    ``engine="des"`` and non-analytic chains run it (it honours any
+    :meth:`PipelineStage.process` override), and the smoke benchmarks
+    time it as the baseline the kernel is measured against.  Do not
+    optimise this function.
     """
     chain.reset()
     if offered_load_bps is None:

@@ -1,8 +1,8 @@
 """Closed-form vectorized packet-train kernel.
 
-The scalar sweep loop (:meth:`repro.sim.pipeline.PipelineChain.process`
-and its batch form ``process_batch``) walks one packet at a time through
-the cut-through recurrence
+The per-Transaction oracle (:meth:`repro.sim.pipeline.PipelineChain.process`,
+driven by :func:`repro.sim.pipeline.run_packet_sweep_reference`) walks
+one packet at a time through the cut-through recurrence
 
     start[i, j] = next_edge_j(max(out[i, j-1], start[i-1, j] + busy[i-1, j]))
 
@@ -19,26 +19,20 @@ facts make the recurrence collapse into array operations:
   ``start[i] - B[i] = max(next_edge(out[i]) - B[i], start[i-1] -
   B[i-1])``, i.e. ``start = B + cummax(next_edge(out) - B)``.
 
-One ``cumsum`` + one ``cummax`` per stage therefore replays the entire
-train -- back-pressure through stage occupancy included -- in a handful
-of numpy passes, and every operation reproduces the scalar arithmetic
-bit for bit (the float divisions inside ``next_edge`` and ``beats`` are
-replicated, not "improved", so the kernel is pinned to **exact integer
-equality** against :func:`repro.sim.pipeline.run_packet_sweep_reference`
-for uniform and mixed-size trains alike).
-
-When numpy is unavailable every entry point degrades gracefully:
-:func:`chain_supports_vector` returns ``False`` and the callers fall
-back to the scalar path.
+A static-rate pipeline therefore has one closed-form schedule, and this
+module is its one implementation: :func:`simulate_trains` replays a
+``(rows, packets)`` grid of independent trains with one running maximum
+per stage, and a single sweep point is a one-row batch.  Every operation
+reproduces the oracle's arithmetic bit for bit (the float divisions
+inside ``next_edge`` and ``beats`` are replicated, not "improved"), so
+the kernel is pinned to **exact integer equality** against
+:func:`repro.sim.pipeline.run_packet_sweep_reference`.
 """
 
 import math
 from typing import Any, List, Optional, Sequence, Tuple
 
-try:  # numpy is a declared dependency, but degrade instead of crashing.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.profiler import phase as _profile_phase
@@ -49,20 +43,13 @@ from repro.sim.pipeline import PipelineChain, PipelineStage
 ENGINES: Tuple[str, ...] = ("auto", "vector", "des")
 
 
-def numpy_available() -> bool:
-    """Whether the vector kernel can run at all."""
-    return _np is not None
-
-
 def chain_supports_vector(chain: PipelineChain) -> bool:
     """True when every stage is an analytic :class:`PipelineStage`.
 
     Subclassed stages or clocks may override ``process``/``next_edge_ps``
     with behaviour the closed form cannot see, so anything but the exact
-    base types routes to the scalar (DES-equivalent) fallback.
+    base types routes to the per-Transaction oracle loop.
     """
-    if _np is None:
-        return False
     return all(
         type(stage) is PipelineStage and type(stage.clock) is ClockDomain
         for stage in chain.stages
@@ -72,10 +59,9 @@ def chain_supports_vector(chain: PipelineChain) -> bool:
 def resolve_engine(chain: PipelineChain, engine: str) -> bool:
     """Map an engine name to "use the vector kernel?" for ``chain``.
 
-    ``auto`` picks the vector kernel whenever the chain supports it;
-    ``vector`` demands it (raising :class:`ConfigurationError` when the
-    chain has non-analytic features or numpy is missing); ``des`` forces
-    the scalar reference-semantics path.
+    ``auto`` picks the kernel whenever the chain supports it; ``vector``
+    demands it (raising :class:`ConfigurationError` when the chain has
+    non-analytic stages); ``des`` forces the per-Transaction oracle loop.
     """
     if engine not in ENGINES:
         raise ConfigurationError(
@@ -87,39 +73,9 @@ def resolve_engine(chain: PipelineChain, engine: str) -> bool:
     if engine == "vector" and not supported:
         raise ConfigurationError(
             "engine='vector' requested but the chain has non-analytic "
-            "stages (or numpy is unavailable); use engine='auto' or 'des'"
+            "stages; use engine='auto' or 'des'"
         )
     return supported
-
-
-class TrainTiming:
-    """Per-packet timings of one vectorized train replay."""
-
-    __slots__ = ("arrivals_ps", "completed_ps", "latencies_ps")
-
-    def __init__(self, arrivals_ps, completed_ps) -> None:
-        self.arrivals_ps = arrivals_ps
-        self.completed_ps = completed_ps
-        self.latencies_ps = completed_ps - arrivals_ps
-
-    def __len__(self) -> int:
-        return len(self.completed_ps)
-
-    @property
-    def first_completion_ps(self) -> int:
-        return int(self.completed_ps[0])
-
-    @property
-    def last_completion_ps(self) -> int:
-        return int(self.completed_ps[-1])
-
-    @property
-    def total_latency_ps(self) -> int:
-        return int(self.latencies_ps.sum())
-
-    def latencies_list(self) -> List[int]:
-        """Latencies as plain Python ints (registry/JSON safe)."""
-        return self.latencies_ps.tolist()
 
 
 def _next_edge_array(times_ps, period_ps: int):
@@ -129,146 +85,25 @@ def _next_edge_array(times_ps, period_ps: int):
     callers may mutate the result in place.
     """
     edges = times_ps / period_ps
-    _np.ceil(edges, out=edges)
-    edges = edges.astype(_np.int64)
+    np.ceil(edges, out=edges)
+    edges = edges.astype(np.int64)
     edges *= period_ps
     return edges
 
 
 def _stage_beats(stage: PipelineStage, sizes_bytes) -> Any:
     """Vectorized ``PipelineStage.beats`` (same float ceil-divide)."""
-    beats = _np.ceil((sizes_bytes * 8) / stage.data_width_bits).astype(_np.int64)
-    return _np.where(sizes_bytes <= 0, 1, beats)
+    beats = np.ceil((sizes_bytes * 8) / stage.data_width_bits).astype(np.int64)
+    return np.where(sizes_bytes <= 0, 1, beats)
 
 
-def simulate_train(
-    chain: PipelineChain,
-    arrivals_ps,
-    sizes_bytes,
-    update_state: bool = True,
-) -> TrainTiming:
-    """Replay a whole train through ``chain`` as array operations.
-
-    ``arrivals_ps`` is an int64 array of creation times; ``sizes_bytes``
-    is either a scalar (uniform train) or an int64 array of per-packet
-    sizes (mixed train).  Starting occupancy is read from each stage's
-    live ``_next_free_ps``, and with ``update_state`` (the default) the
-    final occupancy and the ``transactions_processed``/``busy_ps``
-    statistics are folded back -- observationally identical to calling
-    :meth:`PipelineChain.process` once per packet, which the tests pin
-    packet for packet.
-    """
-    if _np is None:
-        raise ConfigurationError("numpy is required for the vector kernel")
-    arrivals = _np.asarray(arrivals_ps, dtype=_np.int64)
-    count = int(arrivals.shape[0])
-    if count == 0:
-        raise ConfigurationError("a train needs at least one packet")
-    uniform = _np.isscalar(sizes_bytes) or getattr(sizes_bytes, "ndim", 1) == 0
-    if not uniform:
-        sizes = _np.asarray(sizes_bytes, dtype=_np.int64)
-        if sizes.shape != arrivals.shape:
-            raise ConfigurationError("per-packet sizes must match arrivals")
-    out = arrivals
-    last_out = arrivals
-    index = _np.arange(count, dtype=_np.int64)
-    with _profile_phase("vector.kernel"):
-        for stage in chain.stages:
-            period = stage.clock.period_ps
-            if uniform:
-                beats = stage.beats(int(sizes_bytes))
-                busy = (beats * stage.initiation_interval
-                        + stage.per_transaction_overhead_cycles) * period
-                tail = (stage.latency_cycles
-                        + (beats - 1) * stage.initiation_interval) * period
-                ramp = busy * index
-                busy_total = busy * count
-                last_busy = busy
-            else:
-                beats = _stage_beats(stage, sizes)
-                busy = (beats * stage.initiation_interval
-                        + stage.per_transaction_overhead_cycles) * period
-                tail = (stage.latency_cycles
-                        + (beats - 1) * stage.initiation_interval) * period
-                ramp = _np.concatenate(([0], _np.cumsum(busy[:-1])))
-                busy_total = int(busy.sum())
-                last_busy = int(busy[-1])
-            latency = stage.latency_cycles * period
-            edges = _next_edge_array(out, period)
-            free0 = stage._next_free_ps
-            if free0 > 0:
-                # next_edge distributes over max, so the carried-in occupancy
-                # only needs folding into the first packet's issue edge.
-                aligned = int(math.ceil(free0 / period)) * period
-                if aligned > edges[0]:
-                    edges[0] = aligned
-            starts = ramp + _np.maximum.accumulate(edges - ramp)
-            out = starts + latency
-            last_out = starts + tail
-            if update_state:
-                stage._next_free_ps = int(starts[-1]) + last_busy
-                stage.transactions_processed += count
-                stage.busy_ps += busy_total
-    return TrainTiming(arrivals, last_out)
-
-
-def process_batch_vector(
-    chain: PipelineChain,
-    size_bytes: int,
-    gap_ps: float,
-    start_index: int,
-    count: int,
-    latencies: Optional[List[int]] = None,
-) -> Tuple[int, int, int]:
-    """Drop-in vector replacement for :meth:`PipelineChain.process_batch`.
-
-    Same arrival law (``int(round(index * gap_ps))``, replicated via
-    ``np.rint`` on the identical float products), same return tuple,
-    same side effects on stage occupancy and statistics.
-    """
-    if count <= 0:
-        return 0, 0, 0
-    indices = _np.arange(start_index, start_index + count, dtype=_np.float64)
-    arrivals = _np.rint(indices * gap_ps).astype(_np.int64)
-    timing = simulate_train(chain, arrivals, size_bytes)
-    if latencies is not None:
-        latencies.extend(timing.latencies_list())
-    return (timing.first_completion_ps, timing.last_completion_ps,
-            timing.total_latency_ps)
-
-
-def run_packet_sweep_vector(
-    chain: PipelineChain,
-    packet_size_bytes: int,
-    packet_count: int,
-    offered_load_bps: Optional[float] = None,
-) -> Tuple[float, float]:
-    """Vectorized :func:`repro.sim.pipeline.run_packet_sweep_reference`.
-
-    Returns the identical ``(throughput_bps, mean_latency_ns)`` floats:
-    the arrival grid, the per-stage recurrence, and the final float
-    arithmetic all reproduce the reference loop exactly.
-    """
-    chain.reset()
-    if offered_load_bps is None:
-        offered_load_bps = chain.bandwidth_bps(packet_size_bytes) * 0.98
-    gap_ps = packet_size_bytes * 8 / offered_load_bps * 1e12
-    first, last, total_latency = process_batch_vector(
-        chain, packet_size_bytes, gap_ps, 0, packet_count,
-    )
-    duration_ps = max(last - (first or 0), 1)
-    throughput_bps = (packet_count - 1) * packet_size_bytes * 8 / (duration_ps / 1e12)
-    mean_latency_ns = total_latency / packet_count / 1_000
-    return throughput_bps, mean_latency_ns
-
-
-class BatchTrainTiming:
-    """Per-packet timings of a fused multi-train replay.
+class TrainsTiming:
+    """Per-packet timings of a multi-train replay.
 
     ``arrivals_ps``/``completed_ps``/``latencies_ps`` are ``(rows,
     packets)`` int64 tensors: row ``i`` is one independent train replay
-    of the chain, bit-exact equal to what :func:`simulate_train` would
-    have produced for that row alone.
+    of the chain, bit-exact equal to pushing that row's packets through
+    :meth:`PipelineChain.process` one Transaction at a time.
     """
 
     __slots__ = ("arrivals_ps", "completed_ps", "latencies_ps")
@@ -289,32 +124,27 @@ class BatchTrainTiming:
     def packets(self) -> int:
         return int(self.completed_ps.shape[1])
 
-    def row(self, index: int) -> TrainTiming:
-        """One row's timings as a :class:`TrainTiming` (array views)."""
-        return TrainTiming(self.arrivals_ps[index], self.completed_ps[index])
-
 
 def _replay_trains(chain: PipelineChain, arrivals, sizes):
-    """The fused cut-through recurrence over a ``(rows, packets)`` grid.
+    """The cut-through recurrence over a ``(rows, packets)`` grid.
 
     Each row replays the chain independently from the chain's current
-    carried-in ``_next_free_ps``, exactly as :func:`simulate_train`
-    would for that row alone: the recurrence runs once per stage along
-    axis 1, with per-row ``busy``/``tail`` columns broadcast across the
-    packet axis.  ``sizes`` is a scalar (every row uniform at one size)
-    or a ``(rows,)`` int64 array (per-row uniform sizes -- the sweep
-    planner's shape).  Mutates nothing; returns ``(completed, info)``
-    where ``completed`` is the ``(rows, packets)`` completion tensor and
-    ``info`` is one ``(busy_per_txn, last_starts)`` pair per stage for
-    the caller's state fold-back (``busy_per_txn`` is an int or a
-    ``(rows,)`` array; ``last_starts`` is each row's final issue edge at
-    that stage).
+    carried-in ``_next_free_ps``: the recurrence runs once per stage
+    along axis 1, with per-row ``busy``/``tail`` columns broadcast
+    across the packet axis.  ``sizes`` is a scalar (every row uniform
+    at one size) or a ``(rows,)`` int64 array (per-row uniform sizes --
+    the sweep planner's shape).  Mutates nothing; returns ``(completed,
+    info)`` where ``completed`` is the ``(rows, packets)`` completion
+    tensor and ``info`` is one ``(busy_per_txn, last_starts)`` pair per
+    stage for the caller's state fold-back (``busy_per_txn`` is an int
+    or a ``(rows,)`` array; ``last_starts`` is each row's final issue
+    edge at that stage).
     """
-    rows, count = (int(arrivals.shape[0]), int(arrivals.shape[1]))
-    uniform = _np.isscalar(sizes) or getattr(sizes, "ndim", 1) == 0
+    count = int(arrivals.shape[1])
+    uniform = np.isscalar(sizes) or getattr(sizes, "ndim", 1) == 0
     out = arrivals
     completed = arrivals
-    index = _np.arange(count, dtype=_np.int64)[None, :]
+    index = np.arange(count, dtype=np.int64)[None, :]
     info = []
     final = len(chain.stages) - 1
     for position, stage in enumerate(chain.stages):
@@ -337,19 +167,18 @@ def _replay_trains(chain: PipelineChain, arrivals, sizes):
             tail_col = tail[:, None]
         latency = stage.latency_cycles * period
         # _next_edge_array hands back a fresh buffer; from here on every
-        # op mutates it in place -- same integer operations as the
-        # per-train kernel, just without per-stage temporaries.
+        # op mutates it in place, without per-stage temporaries.
         starts = _next_edge_array(out, period)
         free0 = stage._next_free_ps
         if free0 > 0:
-            # Same fold as simulate_train: the carried-in occupancy only
-            # gates each row's first issue edge.
+            # next_edge distributes over max, so the carried-in occupancy
+            # only gates each row's first issue edge.
             aligned = int(math.ceil(free0 / period)) * period
-            _np.maximum(starts[:, 0], aligned, out=starts[:, 0])
+            np.maximum(starts[:, 0], aligned, out=starts[:, 0])
         ramp = busy_col * index
         # starts = ramp + cummax(edges - ramp) along the packet axis.
         starts -= ramp
-        _np.maximum.accumulate(starts, axis=1, out=starts)
+        np.maximum.accumulate(starts, axis=1, out=starts)
         starts += ramp
         info.append((busy, starts[:, -1].copy()))
         if position == final:
@@ -366,16 +195,16 @@ def simulate_trains(
     arrivals_ps,
     sizes_bytes,
     update_state: bool = True,
-) -> BatchTrainTiming:
+) -> TrainsTiming:
     """Replay many independent trains through ``chain`` in one pass.
 
     ``arrivals_ps`` is a ``(rows, packets)`` int64 tensor of creation
     times; ``sizes_bytes`` is a scalar (one size everywhere) or a
     ``(rows,)`` int64 array of per-row uniform sizes.  Every row starts
     from the chain's current carried-in ``_next_free_ps`` and replays
-    independently -- the results are bit-exact equal to calling
-    :func:`simulate_train` once per row with the starting occupancy
-    restored in between.
+    independently -- the results are bit-exact equal to pushing each
+    row through :meth:`PipelineChain.process` one Transaction at a
+    time, with the starting occupancy restored in between.
 
     With ``update_state`` (the default) the fold-back matches that
     sequential oracle loop too: ``transactions_processed`` and
@@ -386,9 +215,7 @@ def simulate_trains(
     by ``packet_count`` before calling in, so no padding packets ever
     exist to lie about throughput or latency.
     """
-    if _np is None:
-        raise ConfigurationError("numpy is required for the vector kernel")
-    arrivals = _np.asarray(arrivals_ps, dtype=_np.int64)
+    arrivals = np.asarray(arrivals_ps, dtype=np.int64)
     if arrivals.ndim != 2:
         raise ConfigurationError(
             "simulate_trains needs a (rows, packets) arrival tensor; "
@@ -397,9 +224,9 @@ def simulate_trains(
     rows, count = (int(arrivals.shape[0]), int(arrivals.shape[1]))
     if rows == 0 or count == 0:
         raise ConfigurationError("a train batch needs >= 1 row and packet")
-    uniform = _np.isscalar(sizes_bytes) or getattr(sizes_bytes, "ndim", 1) == 0
+    uniform = np.isscalar(sizes_bytes) or getattr(sizes_bytes, "ndim", 1) == 0
     if not uniform:
-        sizes_bytes = _np.asarray(sizes_bytes, dtype=_np.int64)
+        sizes_bytes = np.asarray(sizes_bytes, dtype=np.int64)
         if sizes_bytes.shape != (rows,):
             raise ConfigurationError(
                 "per-row sizes must be one int per train row"
@@ -408,7 +235,7 @@ def simulate_trains(
         completed, info = _replay_trains(chain, arrivals, sizes_bytes)
     if update_state:
         for stage, (busy, last_starts) in zip(chain.stages, info):
-            if _np.isscalar(busy) or getattr(busy, "ndim", 1) == 0:
+            if np.isscalar(busy) or getattr(busy, "ndim", 1) == 0:
                 total_busy = int(busy) * count * rows
                 last_busy = int(busy)
             else:
@@ -417,7 +244,7 @@ def simulate_trains(
             stage._next_free_ps = int(last_starts[-1]) + last_busy
             stage.transactions_processed += rows * count
             stage.busy_ps += total_busy
-    return BatchTrainTiming(arrivals, completed)
+    return TrainsTiming(arrivals, completed)
 
 
 def run_packet_sweep_vector_batch(
@@ -426,24 +253,23 @@ def run_packet_sweep_vector_batch(
     packet_count: int,
     offered_loads_bps: Optional[Sequence[float]] = None,
 ) -> List[Tuple[float, float]]:
-    """Fused multi-point :func:`run_packet_sweep_vector`.
+    """Many sweep points through ``chain`` in one kernel pass.
 
     Executes one sweep point per entry of ``packet_sizes`` (all sharing
     ``packet_count``) against ``chain`` in a single ``(points, packets)``
     kernel pass.  Returns one ``(throughput_bps, mean_latency_ns)`` pair
     per point, **bit-exact** equal to calling
-    :func:`run_packet_sweep_vector` once per size in order -- including
-    the chain's folded-back stage occupancy and statistics, which end up
-    exactly as the sequential per-point loop leaves them (each point
-    resets the chain, so the final state is the last point's).
+    :func:`repro.sim.pipeline.run_packet_sweep_reference` once per size
+    in order -- including the chain's folded-back stage occupancy and
+    statistics, which end up exactly as the sequential per-point loop
+    leaves them (each point resets the chain, so the final state is the
+    last point's).
 
-    This is the sweep hot path's fused tier: per-point dispatch, memo
-    probes, and kernel launches collapse into one batched replay, so a
-    cold app x device x size grid costs a handful of numpy passes per
-    tailored chain instead of one per point.
+    This is the production sweep kernel: the fused planner hands it a
+    whole group of points, and an untraced single point is a one-row
+    call, so a cold app x device x size grid costs a handful of numpy
+    passes per tailored chain instead of one per point.
     """
-    if _np is None:
-        raise ConfigurationError("numpy is required for the vector kernel")
     sizes = [int(size) for size in packet_sizes]
     if not sizes:
         return []
@@ -459,25 +285,25 @@ def run_packet_sweep_vector_batch(
         load = (offered_loads_bps[row] if offered_loads_bps is not None
                 else chain.bandwidth_bps(size) * 0.98)
         gaps.append(size * 8 / load * 1e12)
-    index = _np.arange(packet_count, dtype=_np.float64)[None, :]
-    arrivals = _np.rint(
-        _np.asarray(gaps, dtype=_np.float64)[:, None] * index
-    ).astype(_np.int64)
-    sizes_arr = _np.asarray(sizes, dtype=_np.int64)
+    index = np.arange(packet_count, dtype=np.float64)[None, :]
+    arrivals = np.rint(
+        np.asarray(gaps, dtype=np.float64)[:, None] * index
+    ).astype(np.int64)
+    sizes_arr = np.asarray(sizes, dtype=np.int64)
     with _profile_phase("vector.kernel"):
         completed, info = _replay_trains(chain, arrivals, sizes_arr)
     # Fold back the *last* row's state only: the sequential per-point
     # loop resets the chain at each point, so after it runs the chain
     # carries exactly (and only) the final point's occupancy and stats.
     for stage, (busy, last_starts) in zip(chain.stages, info):
-        last_busy = int(busy if _np.isscalar(busy) else busy[-1])
+        last_busy = int(busy if np.isscalar(busy) else busy[-1])
         stage._next_free_ps = int(last_starts[-1]) + last_busy
         stage.transactions_processed += packet_count
         stage.busy_ps += last_busy * packet_count
     latencies = completed - arrivals
     results: List[Tuple[float, float]] = []
     for row, size in enumerate(sizes):
-        # Per-row scalar arithmetic replicates run_packet_sweep_vector's
+        # Per-row scalar arithmetic replicates run_packet_sweep_reference's
         # float expressions operand for operand.
         first = int(completed[row, 0])
         last = int(completed[row, -1])
@@ -487,24 +313,3 @@ def run_packet_sweep_vector_batch(
         mean_latency_ns = total_latency / packet_count / 1_000
         results.append((throughput_bps, mean_latency_ns))
     return results
-
-
-def simulate_train_reference(
-    chain: PipelineChain,
-    arrivals_ps: Sequence[int],
-    sizes_bytes: Sequence[int],
-) -> List[int]:
-    """Scalar oracle for :func:`simulate_train` (per-packet completions).
-
-    Pushes one :class:`~repro.sim.pipeline.Transaction` per packet
-    through :meth:`PipelineChain.process` -- the bench and the property
-    tests compare the kernel against this loop packet for packet.
-    """
-    from repro.sim.pipeline import Transaction
-
-    completed: List[int] = []
-    for arrival, size in zip(arrivals_ps, sizes_bytes):
-        txn = Transaction(size_bytes=int(size), created_ps=int(arrival))
-        chain.process(txn)
-        completed.append(txn.completed_ps)
-    return completed

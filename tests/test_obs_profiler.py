@@ -143,7 +143,7 @@ class TestActivation:
         profiler = SelfProfiler()
         with profiler:
             run_plan(plan, use_cache=False)               # fused planner
-            run_plan(plan, use_cache=False, fuse=False)   # per-point path
+            run_plan(plan, use_cache=False, engine="des")  # per-point path
             run_fleet(FleetSpec(flow_count=5_000, device_count=16),
                       context=SimContext(name="profiled"))
         names = {stats.name for stats in profiler.table(top=0)}

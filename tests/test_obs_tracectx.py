@@ -1,8 +1,8 @@
 """Trace-context propagation and the plan-order span stitcher.
 
 The two contracts pinned here: (1) stitched output is a pure function
-of the fragments -- byte-identical no matter how many workers produced
-them -- and (2) response-embedded trace ids derive from the scenario,
+of the fragments -- byte-identical whether they were just computed or
+came out of the cache -- and (2) response-embedded trace ids derive from the scenario,
 never the request, so coalesced followers and cache hits stay
 byte-compatible with the leader.
 """
@@ -16,7 +16,7 @@ from repro.obs.tracectx import (
     sanitise_trace_id,
     stitch_spans,
 )
-from repro.runtime.sweep import SweepPlan, run_plan
+from repro.runtime.sweep import SweepCache, SweepPlan, run_plan
 from repro.runtime.trace import TraceBus
 from repro.scenario import Scenario, WorkloadSpec
 from repro.service import run_scenario
@@ -130,20 +130,23 @@ class TestStitch:
 class TestSweepStitching:
     SIZES = (64, 128, 256)
 
-    def _sweep(self, workers):
+    def _sweep(self, cache=None):
         plan = SweepPlan(apps=("sec-gateway",), devices=("device-a",),
                          packet_sizes=self.SIZES, packets_per_point=40,
                          trace=True)
-        return run_plan(plan, workers=workers, use_cache=False)
+        return run_plan(plan, cache=cache, use_cache=cache is not None)
 
-    def test_byte_identical_across_worker_counts(self):
-        solo = self._sweep(1).stitched_trace_jsonl(trace_id="t")
-        wide = self._sweep(4).stitched_trace_jsonl(trace_id="t")
-        assert solo == wide
-        assert solo.endswith("\n")
+    def test_byte_identical_across_cache_temperature(self):
+        cache = SweepCache()
+        cold = self._sweep(cache)
+        warm = self._sweep(cache)
+        assert warm.cache_hits == len(warm)
+        assert (cold.stitched_trace_jsonl(trace_id="t")
+                == warm.stitched_trace_jsonl(trace_id="t"))
+        assert cold.stitched_trace_jsonl(trace_id="t").endswith("\n")
 
     def test_stitched_tree_is_connected_in_plan_order(self):
-        stitched = self._sweep(2).stitched_trace_jsonl(
+        stitched = self._sweep().stitched_trace_jsonl(
             trace_id="t", scenario_id="cafe")
         analysis = TraceAnalysis(parse_trace(stitched))
         assert len(analysis.roots) == 1

@@ -57,7 +57,7 @@ class TestCampaign:
         assert report.ok
         assert report.scenarios_run == 8
         assert report.points_checked >= 8
-        assert report.checks_run == 8 * 6
+        assert report.checks_run == 8 * 5
         assert report.coverage > 0
 
     def test_campaign_is_seed_deterministic(self):
@@ -125,9 +125,12 @@ class TestInjectedFailuresAndShrinking:
 
 
 class TestVectorBatchCheck:
-    def test_vector_batch_is_a_standing_check(self):
+    def test_kernel_oracle_is_a_standing_check(self):
         fuzzer = DifferentialFuzzer(seed=1)
-        assert "vector-batch" in [name for name, _ in fuzzer.checks]
+        names = [name for name, _ in fuzzer.checks]
+        assert "kernel-oracle" in names
+        assert "engine-equivalence" not in names
+        assert "vector-batch" not in names
 
     def test_broken_batch_kernel_is_caught_and_shrunk(self, monkeypatch,
                                                       tmp_path):
@@ -139,7 +142,7 @@ class TestVectorBatchCheck:
             rows = real(chain, sizes, count,
                         offered_loads_bps=offered_loads_bps)
             # Perturb the first row by one ULP-ish nudge: the check must
-            # catch even the smallest float divergence from per-point.
+            # catch even the smallest float divergence from the oracle.
             return ([(rows[0][0] * (1 + 1e-12), rows[0][1])] + rows[1:]
                     if rows else rows)
 
@@ -150,8 +153,8 @@ class TestVectorBatchCheck:
         report = fuzzer.run(budget=6)
         assert not report.ok
         failure = report.failures[0]
-        assert failure.check == "vector-batch"
-        assert "per-point" in failure.detail
+        assert failure.check == "kernel-oracle"
+        assert "oracle" in failure.detail
         shrunk = failure.shrunk
         assert len(shrunk.apps) == 1
         assert len(shrunk.devices) == 1

@@ -7,6 +7,7 @@ there are no timing-dependent assertions.
 """
 
 import json
+import multiprocessing
 import threading
 
 import pytest
@@ -96,10 +97,8 @@ class TestEndpoints:
     def test_stats_reports_all_subsystems(self, client):
         stats = client.stats()
         assert set(stats) == {"metrics", "coalescer", "admission", "cache",
-                              "pool", "orchestrator", "telemetry",
-                              "trace_ring"}
+                              "orchestrator", "telemetry", "trace_ring"}
         assert stats["admission"]["max_queue"] == 32
-        assert stats["pool"] == {"max_workers": 4, "resident": True}
         assert stats["telemetry"]["window_s"] == 60.0
         assert stats["trace_ring"]["enabled"] is True
 
@@ -354,11 +353,21 @@ class TestWarmState:
 
 
 class TestResidentPool:
-    def test_pool_workers_validated(self):
-        from repro.errors import ConfigurationError
+    """Sweeps run on the daemon's resident execution threads.
 
-        with pytest.raises(ConfigurationError):
-            ServeConfig(port=0, pool_workers=0).validate()
+    Every point -- fused or not -- executes inside the daemon's own
+    process; nothing is ever handed to a child process.
+    """
+
+    def test_pool_workers_validated(self):
+        from repro.cli import build_parser
+
+        # The flag is accepted (and ignored) so existing launch scripts
+        # keep working; argparse still rejects a non-integer width.
+        args = build_parser().parse_args(["serve", "--pool-workers", "2"])
+        assert args.pool_workers == 2
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--pool-workers", "many"])
 
     def test_cold_sweep_goes_through_the_fused_planner(self, client):
         assert client.run_scenario(SWEEP, endpoint="sweep").status == 200
@@ -366,9 +375,7 @@ class TestResidentPool:
         assert snapshot["sweep"]["fused_points"] == \
             len(SWEEP.workload.packet_sizes)
         assert snapshot["sweep"]["fused_groups"] == 1
-        # Fused points never touch the ProcessPool, and no per-request
-        # pool may ever be spawned inside the daemon.
-        assert "pool" not in snapshot
+        assert "per_point_points" not in snapshot["sweep"]
 
     def test_unfusable_points_dispatch_to_the_resident_pool(self, client):
         first = Scenario(kind="sweep", apps=("sec-gateway",),
@@ -383,9 +390,9 @@ class TestResidentPool:
             assert client.run_scenario(scenario,
                                        endpoint="sweep").status == 200
         snapshot = client.stats()["metrics"]["serve"]
-        assert snapshot["sweep"]["pooled_points"] == 2
-        assert snapshot["pool"]["dispatches"] == 2     # resident pool reused
-        assert "request_spawns" not in snapshot["pool"]
+        assert snapshot["sweep"]["per_point_points"] == 2
+        assert "pool" not in snapshot
+        assert multiprocessing.active_children() == []
 
     def test_warm_sweep_executes_nothing(self, client):
         client.run_scenario(SWEEP, endpoint="sweep")
@@ -393,4 +400,5 @@ class TestResidentPool:
         client.run_scenario(SWEEP, endpoint="sweep")
         after = client.stats()["metrics"]["serve"]["sweep"]
         assert after["fused_points"] == before["fused_points"]
-        assert after.get("pooled_points") == before.get("pooled_points")
+        assert (after.get("per_point_points")
+                == before.get("per_point_points"))

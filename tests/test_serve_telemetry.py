@@ -4,7 +4,7 @@ Covers the serving side of the tracing stack: request-scoped span
 bursts into the resident ring, the ``/telemetry`` window view, native
 histogram exposition on ``/metrics``, the structured access log, and
 the response-embedded stitched trace staying byte-identical across
-resident-pool widths (the coalescer serves one leader's bytes to every
+execution-thread pool widths (the coalescer serves one leader's bytes to every
 follower, so responses must not depend on who executed).
 """
 
@@ -247,9 +247,8 @@ class TestAccessLog:
 class TestServedTraceDeterminism:
     def test_stitched_trace_is_identical_across_pool_widths(self):
         bodies = []
-        for pool_workers in (1, 4):
-            config = ServeConfig(port=0, exec_workers=2,
-                                 pool_workers=pool_workers)
+        for exec_workers in (1, 4):
+            config = ServeConfig(port=0, exec_workers=exec_workers)
             with serve_in_thread(config) as running:
                 client = ServeClient(running.host, running.port)
                 response = client.run_scenario(TRACED, endpoint="sweep")

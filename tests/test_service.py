@@ -86,8 +86,9 @@ class TestSweepService:
         assert cold.response_text() == warm.response_text()
 
     def test_response_text_is_stable_across_worker_counts(self):
-        solo = run_sweep_service(SWEEP, workers=1)
-        parallel = run_sweep_service(SWEEP, workers=4)
+        # ``workers`` sizes the build farm only; a sweep ignores it.
+        solo = run_scenario(SWEEP, workers=1)
+        parallel = run_scenario(SWEEP, workers=4)
         assert solo.response_text() == parallel.response_text()
 
     def test_exit_code_follows_slo(self, tmp_path):

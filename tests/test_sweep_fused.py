@@ -2,15 +2,12 @@
 
 The acceptance bar for the fused path: **invisible in the output**.
 ``SweepResult.to_json()`` and ``merged_trace_jsonl()`` must be
-byte-identical between fused, per-point (``fuse=False``), ``workers=1``
-and ``workers=4`` executions; the planner only changes how cache-miss
-points execute (in-process batched kernel vs ProcessPool fan-out), which
-the provenance attributes -- and nothing else -- expose.
+byte-identical whether cache-miss points run through the batched kernel
+or one at a time on the oracle loop (``engine="des"``); the provenance
+attributes -- and nothing else -- expose which path ran.
 """
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 import pytest
 
@@ -21,7 +18,6 @@ from repro.runtime.sweep import (
     SweepPlan,
     SweepPoint,
     SweepRunner,
-    _pool_chunksize,
     partition_fusable,
     run_fused_group,
     run_point,
@@ -41,26 +37,6 @@ def small_plan(**overrides):
 def result_bytes(result):
     return (json.dumps(result.to_json(), sort_keys=True),
             result.merged_trace_jsonl())
-
-
-class TestPoolChunksize:
-    @pytest.mark.parametrize("count,workers,expected", [
-        (1, 1, 1),
-        (1, 4, 1),
-        (4, 1, 1),
-        (16, 4, 1),     # exactly 4 chunks per worker
-        (17, 4, 2),     # old floor-divide said 1 -> 17 pickling round trips
-        (45, 4, 3),     # old floor-divide said 2 -> a 1-point tail chunk
-        (100, 4, 7),
-        (3, 8, 1),      # fewer points than workers never chunks to 0
-    ])
-    def test_ceil_divide_boundaries(self, count, workers, expected):
-        assert _pool_chunksize(count, workers) == expected
-
-    def test_always_positive(self):
-        for count in range(1, 40):
-            for workers in range(1, 9):
-                assert _pool_chunksize(count, workers) >= 1
 
 
 class TestBatchedCacheOps:
@@ -120,8 +96,8 @@ class TestPartition:
             self.points(app="host-network"),
             self.points(packet_size_bytes=512),
         ]
-        groups, pooled = partition_fusable(points, range(len(points)))
-        assert pooled == []
+        groups, per_point = partition_fusable(points, range(len(points)))
+        assert per_point == []
         assert list(groups.values()) == [[0, 1, 4], [2], [3]]
         assert list(groups) == [
             ((APP, DEVICE, True), 100),
@@ -129,21 +105,21 @@ class TestPartition:
             (("host-network", DEVICE, True), 100),
         ]
 
-    def test_traced_and_des_points_pool(self):
+    def test_traced_and_des_points_run_per_point(self):
         points = [
             self.points(),
             self.points(trace=True),
             self.points(engine="des"),
         ]
-        groups, pooled = partition_fusable(points, range(3))
+        groups, per_point = partition_fusable(points, range(3))
         assert list(groups.values()) == [[0]]
-        assert pooled == [1, 2]
+        assert per_point == [1, 2]
 
-    def test_non_analytic_chain_pools(self, monkeypatch):
+    def test_non_analytic_chain_runs_per_point(self, monkeypatch):
         monkeypatch.setattr(sweep_module, "chain_supports_vector",
                             lambda chain: False)
-        groups, pooled = partition_fusable([self.points()], [0])
-        assert not groups and pooled == [0]
+        groups, per_point = partition_fusable([self.points()], [0])
+        assert not groups and per_point == [0]
 
     def test_fused_group_matches_run_point(self):
         points = [self.points(packet_size_bytes=size)
@@ -153,44 +129,38 @@ class TestPartition:
 
 
 class TestDeterminism:
-    def test_fused_perpoint_and_workers_byte_identical(self):
+    def test_fused_and_per_point_byte_identical(self):
         plan = small_plan()
-        runs = [
-            SweepRunner(plan, workers=1, cache=SweepCache(), fuse=True).run(),
-            SweepRunner(plan, workers=1, cache=SweepCache(), fuse=False).run(),
-            SweepRunner(plan, workers=4, cache=SweepCache(), fuse=True).run(),
-            SweepRunner(plan, workers=4, cache=SweepCache(), fuse=False).run(),
-        ]
-        baseline = result_bytes(runs[0])
-        for result in runs[1:]:
-            assert result_bytes(result) == baseline
+        fused = SweepRunner(plan, cache=SweepCache()).run()
+        oracle = SweepRunner(plan, cache=SweepCache(), engine="des").run()
+        assert fused.fused_points == len(fused)
+        assert oracle.per_point_points == len(oracle)
+        assert result_bytes(fused) == result_bytes(oracle)
 
     def test_traced_plan_byte_identical_and_unfused(self):
         plan = small_plan(trace=True, packet_sizes=(64, 256),
                           packets_per_point=40)
-        fused = SweepRunner(plan, workers=1, cache=SweepCache(),
-                            fuse=True).run()
-        plain = SweepRunner(plan, workers=4, cache=SweepCache(),
-                            fuse=False).run()
-        assert result_bytes(fused) == result_bytes(plain)
-        assert fused.merged_trace_jsonl()
-        assert fused.fused_points == 0       # traces force per-point
-        assert fused.pooled_points == len(fused)
+        kernel = SweepRunner(plan, cache=SweepCache()).run()
+        oracle = SweepRunner(plan, cache=SweepCache(), engine="des").run()
+        assert result_bytes(kernel) == result_bytes(oracle)
+        assert kernel.merged_trace_jsonl()
+        assert kernel.fused_points == 0       # traces force per-point
+        assert kernel.per_point_points == len(kernel)
 
     def test_cache_entries_identical_across_modes(self):
         plan = small_plan()
-        fused_cache, plain_cache = SweepCache(), SweepCache()
-        SweepRunner(plan, cache=fused_cache, fuse=True).run()
-        SweepRunner(plan, cache=plain_cache, fuse=False).run()
-        assert fused_cache._entries == plain_cache._entries
+        fused_cache, oracle_cache = SweepCache(), SweepCache()
+        SweepRunner(plan, cache=fused_cache).run()
+        SweepRunner(plan, cache=oracle_cache, engine="des").run()
+        assert fused_cache._entries == oracle_cache._entries
 
     def test_warm_cache_serves_fused_results(self):
         cache = SweepCache()
         plan = small_plan()
-        cold = SweepRunner(plan, cache=cache, fuse=True).run()
-        warm = SweepRunner(plan, cache=cache, fuse=True).run()
+        cold = SweepRunner(plan, cache=cache).run()
+        warm = SweepRunner(plan, cache=cache).run()
         assert warm.cache_hits == len(warm)
-        assert warm.fused_points == 0 and warm.pooled_points == 0
+        assert warm.fused_points == 0 and warm.per_point_points == 0
         assert json.dumps(cold.to_json(), sort_keys=True).replace(
             '"cached": false', '"cached": true') == json.dumps(
                 warm.to_json(), sort_keys=True)
@@ -199,40 +169,18 @@ class TestDeterminism:
 class TestProvenance:
     def test_fused_run_stats(self):
         plan = small_plan()   # 2 apps x 1 device x 3 sizes, one count
-        result = SweepRunner(plan, cache=SweepCache(), fuse=True).run()
+        result = SweepRunner(plan, cache=SweepCache()).run()
         assert result.fused_points == 6
         assert result.fused_groups == 2       # one per (app, device) chain
-        assert result.pooled_points == 0
-        assert result.spawned_pool is False   # nothing pooled, no pool
-        for name in ("fused_points", "fused_groups", "pooled_points",
-                     "spawned_pool"):
+        assert result.per_point_points == 0
+        for name in ("fused_points", "fused_groups", "per_point_points"):
             assert name not in json.dumps(result.to_json())
-
-    def test_unfused_parallel_run_spawns_pool(self):
-        plan = small_plan(packet_sizes=(64, 256), packets_per_point=40)
-        result = SweepRunner(plan, workers=2, cache=SweepCache(),
-                             fuse=False).run()
-        assert result.fused_points == 0
-        assert result.pooled_points == 4
-        assert result.spawned_pool is True
-
-    def test_injected_executor_is_reused_not_owned(self):
-        plan = small_plan(packet_sizes=(64, 256), packets_per_point=40)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            first = SweepRunner(plan, workers=2, cache=SweepCache(),
-                                fuse=False, executor=pool).run()
-            second = SweepRunner(plan, workers=2, cache=SweepCache(),
-                                 fuse=False, executor=pool).run()
-            assert first.spawned_pool is False
-            assert second.spawned_pool is False   # still alive, still usable
-        assert result_bytes(first) == result_bytes(second)
 
     def test_engine_des_disables_fusing(self):
         plan = small_plan(packet_sizes=(64,), packets_per_point=40)
-        result = SweepRunner(plan, cache=SweepCache(), engine="des",
-                             fuse=True).run()
+        result = SweepRunner(plan, cache=SweepCache(), engine="des").run()
         assert result.fused_points == 0
-        assert result.pooled_points == len(result)
+        assert result.per_point_points == len(result)
 
     def test_engine_vector_on_unsupported_chain_still_raises(self,
                                                              monkeypatch):
@@ -247,8 +195,7 @@ class TestProvenance:
                             lambda chain: False)
         plan = small_plan(packet_sizes=(64,), packets_per_point=40)
         with pytest.raises(ConfigurationError):
-            SweepRunner(plan, cache=SweepCache(), engine="vector",
-                        fuse=True).run()
+            SweepRunner(plan, cache=SweepCache(), engine="vector").run()
 
     def test_intra_run_dedup_survives_fusing(self):
         # device-a and device-a listed twice: same content keys, the
@@ -256,7 +203,7 @@ class TestProvenance:
         plan = SweepPlan(apps=(APP,), devices=(DEVICE,),
                          packet_sizes=(64, 64, 256),
                          packets_per_point=40)
-        result = SweepRunner(plan, cache=SweepCache(), fuse=True).run()
+        result = SweepRunner(plan, cache=SweepCache()).run()
         assert len(result) == 3
         assert result.fused_points == 2       # 64B executed once
         points = result.to_json()["points"]

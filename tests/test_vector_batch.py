@@ -1,9 +1,9 @@
-"""The fused multi-train kernel vs the per-point tiers.
+"""The multi-train kernel vs the per-Transaction oracle.
 
 ``simulate_trains`` / ``run_packet_sweep_vector_batch`` claim **bit
-exactness** against the per-point paths -- same completion integers,
-same result floats, same folded-back stage occupancy and statistics as
-the sequential per-point loop would leave.  These tests pin all of it:
+exactness** against the oracle loop -- same completion integers, same
+result floats, same folded-back stage occupancy and statistics as the
+sequential per-point loop would leave.  These tests pin all of it:
 hand-picked chains for the edges, hypothesis over random chain groups,
 mixed packet-count buckets, and warm carried-in ``_next_free_ps`` state.
 """
@@ -19,39 +19,8 @@ from repro.sim.pipeline import (
     PipelineStage,
     run_packet_sweep_reference,
 )
-from repro.sim.vector import (
-    BatchTrainTiming,
-    run_packet_sweep_vector,
-    run_packet_sweep_vector_batch,
-    simulate_train,
-    simulate_trains,
-)
-
-FREQS = (100.0, 250.0, 322.265625, 500.0, 1_562.5)
-WIDTHS = (8, 64, 256, 512)
-
-
-def stage_state(chain):
-    """The observable per-stage state the kernels must fold back."""
-    return [(stage._next_free_ps, stage.transactions_processed,
-             stage.busy_ps) for stage in chain.stages]
-
-
-@st.composite
-def chains(draw, max_stages: int = 4) -> PipelineChain:
-    count = draw(st.integers(1, max_stages))
-    stages = [
-        PipelineStage(
-            f"s{index}",
-            ClockDomain(f"c{index}", draw(st.sampled_from(FREQS))),
-            draw(st.sampled_from(WIDTHS)),
-            latency_cycles=draw(st.integers(0, 24)),
-            initiation_interval=draw(st.integers(1, 4)),
-            per_transaction_overhead_cycles=draw(st.integers(0, 8)),
-        )
-        for index in range(count)
-    ]
-    return PipelineChain("prop", stages)
+from repro.sim.vector import run_packet_sweep_vector_batch, simulate_trains
+from tests.test_vector_kernel import chains, oracle_completions, stage_state
 
 
 @st.composite
@@ -70,6 +39,17 @@ def train_batches(draw, max_rows: int = 5, max_packets: int = 32):
     return np.stack(grids), sizes
 
 
+def oracle_rows(chain, arrivals, row_sizes):
+    """Each row through the oracle from the same starting occupancy."""
+    initial = [stage._next_free_ps for stage in chain.stages]
+    rows = []
+    for row, size in zip(arrivals, row_sizes):
+        for stage, free in zip(chain.stages, initial):
+            stage._next_free_ps = free
+        rows.append(oracle_completions(chain, row, size))
+    return rows
+
+
 def simple_chain():
     return PipelineChain("batch", [
         PipelineStage("a", ClockDomain("c1", 322.265625), 64,
@@ -83,19 +63,13 @@ class TestSimulateTrains:
     @settings(max_examples=50, deadline=None)
     @given(chain=chains(), batch=train_batches())
     def test_rows_match_per_train_oracle(self, chain, batch):
-        """Each row == simulate_train from the same starting occupancy,
-        and the fold-back == the sequential restore-and-replay loop."""
+        """Each row == the oracle from the same starting occupancy, and
+        the fold-back == the sequential restore-and-replay loop."""
         arrivals, sizes = batch
         rows = arrivals.shape[0]
         row_sizes = ([sizes] * rows if isinstance(sizes, int) else list(sizes))
         chain.reset()
-        initial = [stage._next_free_ps for stage in chain.stages]
-        expected_rows = []
-        for row in range(rows):
-            for stage, free in zip(chain.stages, initial):
-                stage._next_free_ps = free
-            timing = simulate_train(chain, arrivals[row], row_sizes[row])
-            expected_rows.append(timing.completed_ps.tolist())
+        expected_rows = oracle_rows(chain, arrivals, row_sizes)
         expected_state = stage_state(chain)
 
         chain.reset()
@@ -117,19 +91,12 @@ class TestSimulateTrains:
             np.asarray(warm, dtype=np.int64))  # heats the chain up
 
         chain.reset()
-        simulate_train(chain, warm_train, 512)
-        initial = [stage._next_free_ps for stage in chain.stages]
-        expected_rows = []
-        for row in range(rows):
-            for stage, free in zip(chain.stages, initial):
-                stage._next_free_ps = free
-            expected_rows.append(
-                simulate_train(chain, arrivals[row],
-                               row_sizes[row]).completed_ps.tolist())
+        oracle_completions(chain, warm_train, 512)
+        expected_rows = oracle_rows(chain, arrivals, row_sizes)
         expected_state = stage_state(chain)
 
         chain.reset()
-        simulate_train(chain, warm_train, 512)
+        simulate_trains(chain, warm_train[None, :], 512)
         vector_sizes = (sizes if isinstance(sizes, int)
                         else np.asarray(sizes, dtype=np.int64))
         timing = simulate_trains(chain, arrivals, vector_sizes)
@@ -143,21 +110,6 @@ class TestSimulateTrains:
         timing = simulate_trains(chain, arrivals, 64, update_state=False)
         assert stage_state(chain) == before
         assert timing.rows == 2 and timing.packets == 2
-
-    def test_row_accessor_matches_per_train(self):
-        chain = simple_chain()
-        arrivals = np.asarray([[0, 900, 1_800], [0, 40, 80]], dtype=np.int64)
-        batch = simulate_trains(chain, arrivals,
-                                np.asarray([64, 1_500], dtype=np.int64),
-                                update_state=False)
-        assert isinstance(batch, BatchTrainTiming)
-        assert len(batch) == 2
-        for row, size in enumerate((64, 1_500)):
-            chain.reset()
-            single = simulate_train(chain, arrivals[row], size)
-            view = batch.row(row)
-            assert view.completed_ps.tolist() == single.completed_ps.tolist()
-            assert view.latencies_ps.tolist() == single.latencies_ps.tolist()
 
     def test_shape_validation(self):
         chain = simple_chain()
@@ -179,16 +131,13 @@ class TestSweepBatch:
            sizes=st.lists(st.integers(1, 2_048), min_size=1, max_size=6),
            count=st.integers(1, 300))
     def test_batch_equals_sequential_per_point(self, chain, sizes, count):
-        """Fused == per-point vector == DES: floats and folded state."""
-        expected = [run_packet_sweep_vector(chain, size, count)
+        """Fused == the sequential oracle loop: floats and folded state."""
+        expected = [run_packet_sweep_reference(chain, size, count)
                     for size in sizes]
         expected_state = stage_state(chain)
-        scalar = [run_packet_sweep_reference(chain, size, count)
-                  for size in sizes]
 
         batched = run_packet_sweep_vector_batch(chain, sizes, count)
         assert batched == expected          # bit-exact floats
-        assert batched == scalar            # and equal to scalar DES
         assert stage_state(chain) == expected_state
 
     @settings(max_examples=15, deadline=None)
@@ -201,7 +150,7 @@ class TestSweepBatch:
         expected = []
         for count in counts:
             for size in sizes:
-                expected.append(run_packet_sweep_vector(chain, size, count))
+                expected.append(run_packet_sweep_reference(chain, size, count))
         expected_state = stage_state(chain)
         batched = []
         for count in counts:
@@ -226,9 +175,9 @@ class TestSweepBatch:
         chain = simple_chain()
         loads = [chain.bandwidth_bps(64) * 0.5, chain.bandwidth_bps(256) * 0.9]
         expected = [
-            run_packet_sweep_vector(chain, 64, 200, offered_load_bps=loads[0]),
-            run_packet_sweep_vector(chain, 256, 200,
-                                    offered_load_bps=loads[1]),
+            run_packet_sweep_reference(chain, 64, 200, offered_load_bps=loads[0]),
+            run_packet_sweep_reference(chain, 256, 200,
+                                       offered_load_bps=loads[1]),
         ]
         assert run_packet_sweep_vector_batch(
             chain, [64, 256], 200, offered_loads_bps=loads) == expected
@@ -236,6 +185,6 @@ class TestSweepBatch:
     def test_single_packet_trains(self):
         """packet_count=1 exercises the degenerate duration window."""
         chain = simple_chain()
-        expected = [run_packet_sweep_vector(chain, size, 1)
+        expected = [run_packet_sweep_reference(chain, size, 1)
                     for size in (64, 1_024)]
         assert run_packet_sweep_vector_batch(chain, [64, 1_024], 1) == expected

@@ -1,9 +1,11 @@
-"""The closed-form vector kernel vs the scalar (DES-reference) loop.
+"""The closed-form vector kernel vs the per-Transaction oracle loop.
 
 The kernel's whole contract is *exact integer equality* with the
-per-Transaction scalar path -- these tests pin it with hypothesis over
-random stage configurations and train shapes, and check the physical
-sanity property that adding pipeline stages never increases throughput.
+per-Transaction oracle (:meth:`PipelineChain.process`) -- these tests
+pin it with hypothesis over random stage configurations and train
+shapes, check the physical sanity property that adding pipeline stages
+never increases throughput, and pin that stages overriding ``process``
+run on the oracle, override included.
 """
 
 import numpy as np
@@ -15,23 +17,45 @@ from repro.sim.clock import ClockDomain
 from repro.sim.pipeline import (
     PipelineChain,
     PipelineStage,
+    Transaction,
     run_packet_sweep,
     run_packet_sweep_reference,
 )
 from repro.sim.vector import (
     ENGINES,
     chain_supports_vector,
-    process_batch_vector,
     resolve_engine,
-    run_packet_sweep_vector,
-    simulate_train,
-    simulate_train_reference,
+    run_packet_sweep_vector_batch,
+    simulate_trains,
 )
 
 #: Realistic clock frequencies (MHz) drawn from the catalog's range,
 #: including the non-integer-period 322.265625 MHz Ethernet clock.
 FREQS = (100.0, 250.0, 322.265625, 500.0, 1_562.5)
 WIDTHS = (8, 64, 256, 512)
+
+
+def stage_state(chain):
+    """The observable per-stage state the kernel must fold back."""
+    return [(stage._next_free_ps, stage.transactions_processed,
+             stage.busy_ps) for stage in chain.stages]
+
+
+def oracle_completions(chain, arrivals, size):
+    """Per-packet completions of one train through the oracle loop."""
+    return [chain.process(Transaction(size_bytes=size,
+                                      created_ps=int(arrival))).completed_ps
+            for arrival in arrivals]
+
+
+class OddStage(PipelineStage):
+    """A non-analytic stage: four dead cycles of occupancy per transaction."""
+
+    def process(self, arrival_ps, size_bytes):
+        timing = super().process(arrival_ps, size_bytes)
+        self._next_free_ps += 4 * self.clock.period_ps
+        self.busy_ps += 4 * self.clock.period_ps
+        return timing
 
 
 @st.composite
@@ -57,55 +81,39 @@ def trains(draw, max_packets: int = 40):
     gaps = draw(st.lists(st.integers(0, 60_000),
                          min_size=count, max_size=count))
     arrivals = np.cumsum(np.asarray(gaps, dtype=np.int64))
-    sizes = draw(st.one_of(
-        st.integers(64, 1_500),
-        st.lists(st.integers(1, 4_096), min_size=count, max_size=count),
-    ))
-    return arrivals, sizes
+    return arrivals, draw(st.integers(1, 4_096))
 
 
 class TestTrainExactness:
     @settings(max_examples=60, deadline=None)
     @given(chain=chains(), train=trains())
     def test_vector_matches_scalar_packet_for_packet(self, chain, train):
-        arrivals, sizes = train
-        size_list = ([sizes] * len(arrivals) if isinstance(sizes, int)
-                     else list(sizes))
+        arrivals, size = train
         chain.reset()
-        expected = simulate_train_reference(chain, arrivals.tolist(), size_list)
-        expected_state = [(s._next_free_ps, s.transactions_processed, s.busy_ps)
-                          for s in chain.stages]
+        expected = oracle_completions(chain, arrivals, size)
+        expected_state = stage_state(chain)
         chain.reset()
-        vector_sizes = (sizes if isinstance(sizes, int)
-                        else np.asarray(sizes, dtype=np.int64))
-        timing = simulate_train(chain, arrivals, vector_sizes)
-        assert timing.completed_ps.tolist() == expected
-        assert [(s._next_free_ps, s.transactions_processed, s.busy_ps)
-                for s in chain.stages] == expected_state
+        timing = simulate_trains(chain, arrivals[None, :], size)
+        assert timing.completed_ps[0].tolist() == expected
+        assert stage_state(chain) == expected_state
 
     @settings(max_examples=40, deadline=None)
     @given(chain=chains(), train=trains(max_packets=24),
            split=st.integers(1, 23))
     def test_split_train_equals_whole_train(self, chain, train, split):
         """Carried-in stage occupancy between trains is folded exactly."""
-        arrivals, sizes = train
+        arrivals, size = train
         if split >= len(arrivals):
             split = len(arrivals) - 1
         if split < 1:
             return
-        vector_sizes = (sizes if isinstance(sizes, int)
-                        else np.asarray(sizes, dtype=np.int64))
         chain.reset()
-        whole = simulate_train(chain, arrivals, vector_sizes)
+        whole = simulate_trains(chain, arrivals[None, :], size)
         chain.reset()
-        head_sizes = (vector_sizes if isinstance(sizes, int)
-                      else vector_sizes[:split])
-        tail_sizes = (vector_sizes if isinstance(sizes, int)
-                      else vector_sizes[split:])
-        head = simulate_train(chain, arrivals[:split], head_sizes)
-        tail = simulate_train(chain, arrivals[split:], tail_sizes)
-        assert (head.completed_ps.tolist() + tail.completed_ps.tolist()
-                == whole.completed_ps.tolist())
+        head = simulate_trains(chain, arrivals[None, :split], size)
+        tail = simulate_trains(chain, arrivals[None, split:], size)
+        assert (head.completed_ps[0].tolist() + tail.completed_ps[0].tolist()
+                == whole.completed_ps[0].tolist())
 
     @settings(max_examples=40, deadline=None)
     @given(chain=chains(), size=st.integers(64, 1_500),
@@ -113,8 +121,7 @@ class TestTrainExactness:
     def test_sweep_floats_match_reference(self, chain, size, count):
         expected = run_packet_sweep_reference(
             chain, packet_size_bytes=size, packet_count=count)
-        actual = run_packet_sweep_vector(
-            chain, packet_size_bytes=size, packet_count=count)
+        [actual] = run_packet_sweep_vector_batch(chain, [size], count)
         assert actual == expected
 
 
@@ -136,28 +143,26 @@ class TestThroughputMonotonicity:
         must never increase.
         """
         offered = chain.bandwidth_bps(size) * 0.98
-        base, _ = run_packet_sweep_vector(
-            chain, packet_size_bytes=size, packet_count=200,
-            offered_load_bps=offered)
+        [(base, _)] = run_packet_sweep_vector_batch(
+            chain, [size], 200, offered_loads_bps=[offered])
         extra = PipelineStage(
             "extra", ClockDomain("extra", freq), width,
             latency_cycles=latency, initiation_interval=1)
         extended = PipelineChain("extended", list(chain.stages) + [extra])
-        longer, _ = run_packet_sweep_vector(
-            extended, packet_size_bytes=size, packet_count=200,
-            offered_load_bps=offered)
+        [(longer, _)] = run_packet_sweep_vector_batch(
+            extended, [size], 200, offered_loads_bps=[offered])
 
         gap_ps = size * 8 / offered * 1e12
         arrivals = np.rint(
             np.arange(200, dtype=np.float64) * gap_ps).astype(np.int64)
         chain.reset()
-        base_train = simulate_train(chain, arrivals, size)
+        base_train = simulate_trains(chain, arrivals[None, :], size)
         extended.reset()
-        ext_train = simulate_train(extended, arrivals, size)
-        base_window = (base_train.last_completion_ps
-                       - base_train.first_completion_ps)
-        ext_window = (ext_train.last_completion_ps
-                      - ext_train.first_completion_ps)
+        ext_train = simulate_trains(extended, arrivals[None, :], size)
+        base_window = int(base_train.completed_ps[0, -1]
+                          - base_train.completed_ps[0, 0])
+        ext_window = int(ext_train.completed_ps[0, -1]
+                         - ext_train.completed_ps[0, 0])
         period = extra.clock.period_ps
         assert ext_window >= base_window - period
         if base_window > period:
@@ -186,9 +191,6 @@ class TestEngineSelection:
             resolve_engine(self._chain(), "warp")
 
     def test_subclassed_stage_downgrades_auto_and_blocks_vector(self):
-        class OddStage(PipelineStage):
-            pass
-
         chain = PipelineChain("odd", [
             OddStage("s", ClockDomain("c", 250.0), 64),
         ])
@@ -204,6 +206,23 @@ class TestEngineSelection:
         auto = run_packet_sweep(chain, 256, 500, engine="auto")
         assert des == vec == auto
 
+    def test_overridden_process_runs_on_the_oracle(self):
+        """A stage that overrides ``process`` is honoured, not skipped."""
+        def chain():
+            return PipelineChain("odd", [
+                PipelineStage("a", ClockDomain("c1", 322.265625), 64),
+                OddStage("b", ClockDomain("c2", 250.0), 64),
+            ])
+
+        reference = run_packet_sweep_reference(chain(), 256, 500)
+        assert run_packet_sweep(chain(), 256, 500, engine="auto") == reference
+        assert run_packet_sweep(chain(), 256, 500, engine="des") == reference
+        analytic = PipelineChain("plain", [
+            PipelineStage("a", ClockDomain("c1", 322.265625), 64),
+            PipelineStage("b", ClockDomain("c2", 250.0), 64),
+        ])
+        assert run_packet_sweep_reference(analytic, 256, 500) != reference
+
 
 class TestTrainValidation:
     def _chain(self):
@@ -213,25 +232,20 @@ class TestTrainValidation:
 
     def test_empty_train_rejected(self):
         with pytest.raises(ConfigurationError):
-            simulate_train(self._chain(), np.asarray([], dtype=np.int64), 64)
+            simulate_trains(self._chain(), np.empty((1, 0), dtype=np.int64),
+                            64)
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
-            simulate_train(self._chain(),
-                           np.asarray([0, 10], dtype=np.int64),
-                           np.asarray([64], dtype=np.int64))
-
-    def test_zero_count_batch_is_noop(self):
-        chain = self._chain()
-        assert process_batch_vector(chain, 64, 100.0, 0, 0) == (0, 0, 0)
-        assert chain.stages[0].transactions_processed == 0
+            simulate_trains(self._chain(),
+                            np.asarray([[0, 10]], dtype=np.int64),
+                            np.asarray([64, 128], dtype=np.int64))
 
     def test_timing_accessors(self):
         chain = self._chain()
-        arrivals = np.asarray([0, 1_000], dtype=np.int64)
-        timing = simulate_train(chain, arrivals, 64)
-        assert len(timing) == 2
-        assert timing.first_completion_ps == int(timing.completed_ps[0])
-        assert timing.last_completion_ps == int(timing.completed_ps[-1])
-        assert timing.total_latency_ps == int(timing.latencies_ps.sum())
-        assert all(isinstance(v, int) for v in timing.latencies_list())
+        arrivals = np.asarray([[0, 1_000, 2_000]], dtype=np.int64)
+        timing = simulate_trains(chain, arrivals, 64)
+        assert len(timing) == timing.rows == 1
+        assert timing.packets == 3
+        assert (timing.latencies_ps
+                == timing.completed_ps - timing.arrivals_ps).all()
