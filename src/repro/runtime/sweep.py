@@ -27,9 +27,11 @@ oracle, so the path a point took is invisible in the results.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+import pickle
 import tempfile
 import threading
 from collections import OrderedDict
@@ -49,7 +51,7 @@ DEFAULT_PACKET_SIZES: Tuple[int, ...] = (64, 128, 256, 512, 1024)
 # Plan and points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepPoint:
     """One independent unit of sweep work.
 
@@ -67,6 +69,17 @@ class SweepPoint:
     with_harmonia: bool = True
     trace: bool = False
     engine: str = "auto"
+
+    def __init__(self, app: str, device: str, packet_size_bytes: int,
+                 packet_count: int, with_harmonia: bool = True,
+                 trace: bool = False, engine: str = "auto") -> None:
+        # One dict update, where the generated frozen __init__ makes an
+        # object.__setattr__ call per field: every served sweep builds
+        # a point per point of its plan, warm or cold.
+        self.__dict__.update(
+            app=app, device=device, packet_size_bytes=packet_size_bytes,
+            packet_count=packet_count, with_harmonia=with_harmonia,
+            trace=trace, engine=engine)
 
     def label(self) -> str:
         variant = "harmonia" if self.with_harmonia else "native"
@@ -163,6 +176,28 @@ def chain_signature(chain) -> Tuple[Tuple[Any, ...], ...]:
     )
 
 
+#: The key payload's encoder, built once rather than per ``json.dumps``.
+_KEY_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: The last signature object keyed and its payload prefix.  A runner
+#: hands one signature tuple in for every point of a chain; holding the
+#: object keeps its id from being reused, so identity is enough to
+#: reuse the prefix.
+_LAST_PREFIX: Tuple[Any, str] = ((), "[")
+
+
+@functools.lru_cache(maxsize=1024)
+def _payload_prefix(pickled_signature: bytes) -> str:
+    """``"[stage1,stage2,"``: the key payload up to the point's values.
+
+    Memoised by the signature's pickle, not the tuple: ``==`` equates
+    ``250`` with ``250.0`` and ``0.0`` with ``-0.0``, which JSON encodes
+    differently.
+    """
+    stages = [list(stage) for stage in pickle.loads(pickled_signature)]
+    return _KEY_JSON.encode(stages)[:-1] + ("," if stages else "")
+
+
 def sweep_cache_key(
     signature: Tuple[Tuple[Any, ...], ...],
     packet_size_bytes: int,
@@ -172,16 +207,29 @@ def sweep_cache_key(
 ) -> str:
     """A stable content key for one analytic sweep point.
 
-    ``trace_of`` is the chain name and is folded in **only for traced
-    points**: throughput/latency are pure functions of the timing
-    signature alone, but an exported trace embeds span names, so a
-    traced entry may only be reused under the same chain name.
+    The key is the sha256 of the compact, key-sorted JSON list of the
+    signature's stages followed by the point's size, count, load and
+    ``trace_of``.  ``trace_of`` is the chain name and is folded in
+    **only for traced points**: throughput/latency are pure functions
+    of the timing signature alone, but an exported trace embeds span
+    names, so a traced entry may only be reused under the same chain
+    name.  ``signature`` must not be mutated between calls (a tuple,
+    as :func:`chain_signature` returns, cannot be): a repeat of the
+    same object reuses its encoding.
     """
-    payload = json.dumps(
-        [list(stage) for stage in signature]
-        + [packet_size_bytes, packet_count, offered_load_bps, trace_of],
-        sort_keys=True, separators=(",", ":"),
-    )
+    global _LAST_PREFIX
+    last, prefix = _LAST_PREFIX
+    if signature is not last:
+        prefix = _payload_prefix(pickle.dumps(signature, 4))
+        _LAST_PREFIX = (signature, prefix)
+    if (type(packet_size_bytes) is int and type(packet_count) is int
+            and offered_load_bps is None and trace_of is None):
+        # An untraced point at the default load: the runner's hot path.
+        values = f"{packet_size_bytes},{packet_count},null,null]"
+    else:
+        values = _KEY_JSON.encode([packet_size_bytes, packet_count,
+                                   offered_load_bps, trace_of])[1:]
+    payload = prefix + values
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -379,27 +427,33 @@ def _build_chain(point: SweepPoint):
 _POINT_LOCK = threading.RLock()
 
 
-#: Process-wide chain memo.  The (app, device, variant) combo repeats
-#: across the packet-size axis and across runs, and a chain is a pure
-#: (resettable) function of its combo, so the process tailors a given
-#: shell at most once.  Reads and writes take
+#: Process-wide chain memo: (app, device, variant) -> (chain, its
+#: :func:`chain_signature`).  The combo repeats across the packet-size
+#: axis and across runs, and a chain is a pure (resettable) function of
+#: its combo whose timing parameters nothing changes, so the process
+#: tailors and signs a given shell at most once.  Reads and writes take
 #: :data:`_CHAIN_MEMO_LOCK`: concurrent daemon requests must never
 #: interleave dict writes or observe a half-installed entry.
-_CHAIN_MEMO: Dict[Tuple[str, str, bool], Any] = {}
+_CHAIN_MEMO: Dict[Tuple[str, str, bool], Tuple[Any, Tuple[Any, ...]]] = {}
 _CHAIN_MEMO_LOCK = threading.Lock()
 
 
-def _chain_for(point: SweepPoint):
+def _signed_chain(point: SweepPoint) -> Tuple[Any, Tuple[Any, ...]]:
     combo = (point.app, point.device, point.with_harmonia)
     with _CHAIN_MEMO_LOCK:
-        chain = _CHAIN_MEMO.get(combo)
-    if chain is None:
+        signed = _CHAIN_MEMO.get(combo)
+    if signed is None:
         # Tailoring is deterministic, so two threads racing to build the
         # same chain produce interchangeable objects; first store wins.
         chain = _build_chain(point)
         with _CHAIN_MEMO_LOCK:
-            chain = _CHAIN_MEMO.setdefault(combo, chain)
-    return chain
+            signed = _CHAIN_MEMO.setdefault(
+                combo, (chain, chain_signature(chain)))
+    return signed
+
+
+def _chain_for(point: SweepPoint):
+    return _signed_chain(point)[0]
 
 
 def run_point(point: SweepPoint) -> Dict[str, Any]:
@@ -508,7 +562,7 @@ def point_chain(point: SweepPoint):
 # Results
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PointResult:
     """One sweep point's outcome plus its cache provenance."""
 
@@ -518,6 +572,15 @@ class PointResult:
     cache_key: str
     cached: bool
     trace_jsonl: str = ""
+
+    def __init__(self, point: SweepPoint, throughput_bps: float,
+                 mean_latency_ns: float, cache_key: str, cached: bool,
+                 trace_jsonl: str = "") -> None:
+        # One dict update, as in SweepPoint: a run builds one per point.
+        self.__dict__.update(
+            point=point, throughput_bps=throughput_bps,
+            mean_latency_ns=mean_latency_ns, cache_key=cache_key,
+            cached=cached, trace_jsonl=trace_jsonl)
 
 
 class SweepResult:
@@ -662,17 +725,18 @@ class SweepRunner:
         if self.engine != "auto":
             points = [dataclasses.replace(point, engine=self.engine)
                       for point in points]
-        # Chains are resolved through the process-wide memo: built once
-        # per (app, device, variant), which is cheap relative to a
-        # point's simulation and exactly what the content key needs.
-        # Execution reuses them too (every point resets the chain, so
-        # reuse is deterministic).
+        # Chains and their signatures are resolved through the
+        # process-wide memo: built once per (app, device, variant), which
+        # is cheap relative to a point's simulation and exactly what the
+        # content key needs.  Execution reuses them too (every point
+        # resets the chain, so reuse is deterministic).  sweep_cache_key
+        # reuses a signature's encoding while consecutive points hand it
+        # the same tuple.
         keys: List[str] = []
         for point in points:
-            chain = _chain_for(point)
+            chain, signature = _signed_chain(point)
             keys.append(sweep_cache_key(
-                chain_signature(chain), point.packet_size_bytes,
-                point.packet_count,
+                signature, point.packet_size_bytes, point.packet_count,
                 trace_of=chain.name if point.trace else None,
             ))
 

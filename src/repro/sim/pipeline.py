@@ -288,7 +288,8 @@ def run_packet_sweep(
 
     When a :class:`repro.runtime.SimContext` is supplied (or ambient),
     the sweep point is wrapped in a trace span, the first
-    ``trace_packets`` transactions emit per-stage child spans, and the
+    ``trace_packets`` transactions emit per-stage child spans (when the
+    context's trace bus is enabled), and the
     point's latency histogram and throughput land in the metrics
     registry under ``sweep.<chain>.<size>B``.  With no context the point
     runs untraced.
@@ -333,9 +334,11 @@ def run_packet_sweep(
         f"sweep.{chain.name}.{packet_size_bytes}B", ts_ps=0,
         packets=packet_count,
     )
-    traced_head = min(trace_packets, packet_count)
     # The traced head always runs one Transaction at a time; the oracle
-    # engine keeps going that way, the kernel takes over the tail.
+    # engine keeps going that way, the kernel takes over the tail.  A
+    # disabled bus records no spans, so its points have no head at all.
+    traced_head = (min(trace_packets, packet_count) if context.trace.enabled
+                   else 0)
     per_txn = traced_head if use_vector else packet_count
     latencies: List[int] = []
     first_completion = None

@@ -6,31 +6,60 @@ one packet at a time through the cut-through recurrence
 
     start[i, j] = next_edge_j(max(out[i, j-1], start[i-1, j] + busy[i-1, j]))
 
-where ``out[i, j-1]`` is the first-beat-out time of packet ``i`` at the
-upstream stage and ``busy`` is the stage's occupancy per packet.  Two
-facts make the recurrence collapse into array operations:
+where ``out[i, j-1] = start[i, j-1] + L[j-1]`` is the first-beat-out
+time of packet ``i`` at the upstream stage, ``L`` the stage's latency
+and ``busy`` its occupancy per packet.  In a sweep every packet of a
+train has one size, so ``busy`` is one whole number of clock periods
+per stage and train, and the recurrence is a max-plus system of
+static-rate actors:
 
-* ``busy`` is always a whole number of clock periods, and ``start`` is
-  always edge-aligned, so ``start[i-1] + busy[i-1]`` is already on a
-  clock edge -- ``next_edge`` distributes over the ``max``:
-  ``start[i] = max(next_edge(out[i]), start[i-1] + busy[i-1])``;
-* subtracting the exclusive prefix sum ``B[i] = busy[0] + ... +
-  busy[i-1]`` turns that into a running maximum:
-  ``start[i] - B[i] = max(next_edge(out[i]) - B[i], start[i-1] -
-  B[i-1])``, i.e. ``start = B + cummax(next_edge(out) - B)``.
+* **One stage is one running maximum.**  ``start`` is edge-aligned, so
+  ``next_edge`` distributes over the ``max`` and, with ``E =
+  next_edge(out)``, ``start[i] = max(E[i], start[i-1] + b)``.
+  Subtracting the ramp ``i*b`` turns that into ``start = ramp +
+  cummax(E - ramp)``, i.e. ``start[i] = max_{m<=i}(E[m] + (i-m)*b)``.
+* **A same-clock run is one running maximum.**  Inside a run of
+  consecutive stages on one clock period, every ``out`` is already on
+  an edge and ``next_edge`` is the identity.  Feeding stage ``j`` into
+  stage ``j+1``: ``start_{j+1}[i] = L_j + max_{k<=i} max_{m<=k}(E[m] +
+  (k-m)*b_j + (i-k)*b_{j+1})``, and the inner maximum over ``k`` is
+  linear in ``k``, so it sits at an end: ``start_{j+1}[i] = L_j +
+  max_{m<=i}(E[m] + (i-m)*max(b_j, b_{j+1}))``.  By induction a run is
+  one running maximum with the run's largest ``busy`` and its
+  latencies summed.  A stage carrying occupancy in gates its own input,
+  so it starts a new run.  The catalog chains collapse this way from
+  six or seven stages to four runs.
+* **A running maximum that changes nothing is skipped.**  When every
+  gap ``E[i] - E[i-1]`` of a row is at least ``b``, ``E - ramp`` is
+  already non-decreasing and ``start = E``.  A train offered below the
+  bottleneck rate takes this branch on almost every row.  The gaps
+  are measured only when a per-row lower bound cannot decide:
+  re-aligning to a clock of period ``p`` leaves a gap ``d`` at least
+  ``floor(d/p)*p``, and a run leaves every gap at least its ``b``.
 
-A static-rate pipeline therefore has one closed-form schedule, and this
-module is its one implementation: :func:`simulate_trains` replays a
-``(rows, packets)`` grid of independent trains with one running maximum
-per stage, and a single sweep point is a one-row batch.  Every operation
-reproduces the oracle's arithmetic bit for bit (the float divisions
-inside ``next_edge`` and ``beats`` are replicated, not "improved"), so
-the kernel is pinned to **exact integer equality** against
+Each stage's folded-back occupancy needs only the last row's final
+issue edge.  For an inner stage of a run that is ``off_j + (n-1)*b_j +
+max_m(E[m] - m*b_j)``, where ``b_j`` is the largest ``busy`` of the run
+so far and ``off_j`` the latencies before it.
+
+A static-rate pipeline therefore has one closed-form schedule, and
+this module is its one implementation: :func:`simulate_trains` replays
+a ``(rows, packets)`` grid of independent trains, and a single sweep
+point is a one-row batch.  The schedule is carried in float64, with
+one conversion in and one out.  **Precondition: every time is below
+2**53 ps** (about 2.5 simulated hours) -- the oracle's own
+``next_edge`` divides in float, so it assumes the same.  Under it,
+``+``, ``max``, ``k*p`` and the correctly rounded ``x/p`` are all
+exact, and every operation reproduces the oracle's arithmetic bit for
+bit (the float division inside ``next_edge`` is replicated, not
+"improved", and beats come from the stage's own
+:meth:`~repro.sim.pipeline.PipelineStage.beats`).  The kernel is pinned
+to **exact integer equality** against
 :func:`repro.sim.pipeline.run_packet_sweep_reference`.
 """
 
 import math
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,23 +107,141 @@ def resolve_engine(chain: PipelineChain, engine: str) -> bool:
     return supported
 
 
-def _next_edge_array(times_ps, period_ps: int):
-    """Vectorized ``ClockDomain.next_edge_ps`` -- same float ceil-divide.
+#: The gap bound of a one-packet train: larger than any busy time.
+_NO_GAP = float(2 ** 62)
 
-    Always returns a fresh buffer (the division allocates it), so
-    callers may mutate the result in place.
+
+def _stage_busy(stage: PipelineStage, sizes: Sequence[int]) -> List[int]:
+    """Per-row ``busy`` of ``stage``: whole periods of occupancy per packet.
+
+    Beats come from the stage's own memoised :meth:`PipelineStage.beats`,
+    so kernel and oracle count them with one function.
     """
-    edges = times_ps / period_ps
-    np.ceil(edges, out=edges)
-    edges = edges.astype(np.int64)
-    edges *= period_ps
-    return edges
+    period = stage.clock.period_ps
+    return [(stage.beats(size) * stage.initiation_interval
+             + stage.per_transaction_overhead_cycles) * period
+            for size in sizes]
 
 
-def _stage_beats(stage: PipelineStage, sizes_bytes) -> Any:
-    """Vectorized ``PipelineStage.beats`` (same float ceil-divide)."""
-    beats = np.ceil((sizes_bytes * 8) / stage.data_width_bits).astype(np.int64)
-    return np.where(sizes_bytes <= 0, 1, beats)
+def _stage_tail(stage: PipelineStage, sizes: Sequence[int]) -> List[int]:
+    """Per-row time from a packet's issue edge to its last beat out."""
+    period = stage.clock.period_ps
+    return [(stage.latency_cycles
+             + (stage.beats(size) - 1) * stage.initiation_interval) * period
+            for size in sizes]
+
+
+def _clock_runs(stages: Sequence[PipelineStage]) -> List[Tuple[int, int]]:
+    """``[start, end)`` bounds of the chain's same-clock stage runs.
+
+    A run is a maximal block of consecutive stages with one clock
+    period; a stage carrying occupancy in (``_next_free_ps > 0``) starts
+    a new run, because its gate sits on its own input, not the run's.
+    """
+    runs = []
+    start = 0
+    for position in range(1, len(stages) + 1):
+        if (position == len(stages)
+                or stages[position].clock.period_ps
+                != stages[start].clock.period_ps
+                or stages[position]._next_free_ps > 0):
+            runs.append((start, position))
+            start = position
+    return runs
+
+
+def _replay_trains(chain: PipelineChain, arrivals, sizes):
+    """The cut-through recurrence over a ``(rows, packets)`` grid.
+
+    Each row replays the chain independently from the chain's current
+    carried-in ``_next_free_ps``, one running maximum per same-clock
+    stage run along axis 1 (skipped on rows where it is the identity).
+    ``arrivals`` is int64 or float64; ``sizes`` holds one int per row
+    (each row's packets share one size).  Mutates nothing; returns
+    ``(completed, info)`` where ``completed`` is the ``(rows, packets)``
+    float64 completion tensor and ``info`` is one ``(busy, last_start)``
+    pair per stage for the caller's state fold-back: ``busy`` is the
+    stage's occupancy per packet, one int per row, ``last_start`` the
+    last row's final issue edge at that stage.
+    """
+    rows, count = arrivals.shape
+    stages = chain.stages
+    busy = [_stage_busy(stage, sizes) for stage in stages]
+    index = np.arange(count, dtype=np.float64)
+    gaps = np.empty((rows, count - 1)) if count > 1 else None
+    # Per row, a lower bound on the gaps between consecutive edges, or
+    # None while unknown.  A one-packet train has no gaps to bound.
+    min_gap = None if count > 1 else np.full(rows, _NO_GAP)
+    schedule = None
+    previous = None
+    info = []
+    for start, end in _clock_runs(stages):
+        period = stages[start].clock.period_ps
+        # next_edge: a float ceil-divide, the identity on a schedule
+        # already on this clock's edges.  The first one allocates the
+        # schedule buffer; every later op updates it in place.
+        if period != previous:
+            if schedule is None:
+                schedule = arrivals / period
+            else:
+                schedule /= period
+            np.ceil(schedule, out=schedule)
+            schedule *= period
+            previous = period
+            if min_gap is not None:
+                min_gap = min_gap // period * period
+        free0 = stages[start]._next_free_ps
+        if free0 > 0:
+            # next_edge distributes over max, so the carried-in occupancy
+            # only gates each row's first issue edge -- and can only
+            # shrink each row's first gap.
+            aligned = int(math.ceil(free0 / period)) * period
+            np.maximum(schedule[:, 0], aligned, out=schedule[:, 0])
+            if min_gap is not None and count > 1:
+                min_gap = np.minimum(min_gap, schedule[:, 1] - schedule[:, 0])
+        run_busy = np.asarray([max(row) for row in zip(*busy[start:end])])
+        # The running max is the identity on a row whose edges are at
+        # least the run's busy apart; measure the gaps only when the
+        # bound cannot tell.
+        saturated = None if min_gap is None else (min_gap < run_busy).tolist()
+        if saturated is None or any(saturated):
+            np.subtract(schedule[:, 1:], schedule[:, :-1], out=gaps)
+            min_gap = gaps.min(axis=1)
+            saturated = (min_gap < run_busy).tolist()
+        # Inner stages fold back from the last row's run input edges.
+        edges = schedule[-1]
+        offset = 0
+        step = 0
+        for position in range(start, end - 1):
+            step = max(step, busy[position][-1])
+            if saturated[-1]:
+                last = (count - 1) * step + int((edges - step * index).max())
+            else:
+                last = int(edges[-1])
+            info.append((busy[position], offset + last))
+            offset += stages[position].latency_cycles * period
+        if any(saturated):
+            # schedule = ramp + cummax(schedule - ramp) on those rows.
+            picked = None if all(saturated) else [
+                row for row, flag in enumerate(saturated) if flag]
+            block = schedule if picked is None else schedule[picked]
+            ramp = (run_busy if picked is None
+                    else run_busy[picked])[:, None] * index
+            block -= ramp
+            np.maximum.accumulate(block, axis=1, out=block)
+            block += ramp
+            if picked is not None:
+                schedule[picked] = block
+        # Every row's gaps are now at least the run's busy.
+        min_gap = np.maximum(min_gap, run_busy)
+        info.append((busy[end - 1], offset + int(schedule[-1, -1])))
+        stage = stages[end - 1]
+        if end == len(stages):
+            tails = [offset + tail for tail in _stage_tail(stage, sizes)]
+            schedule += np.asarray(tails)[:, None]
+        else:
+            schedule += offset + stage.latency_cycles * period
+    return schedule, info
 
 
 class TrainsTiming:
@@ -123,71 +270,6 @@ class TrainsTiming:
     @property
     def packets(self) -> int:
         return int(self.completed_ps.shape[1])
-
-
-def _replay_trains(chain: PipelineChain, arrivals, sizes):
-    """The cut-through recurrence over a ``(rows, packets)`` grid.
-
-    Each row replays the chain independently from the chain's current
-    carried-in ``_next_free_ps``: the recurrence runs once per stage
-    along axis 1, with per-row ``busy``/``tail`` columns broadcast
-    across the packet axis.  ``sizes`` is a scalar (every row uniform
-    at one size) or a ``(rows,)`` int64 array (per-row uniform sizes --
-    the sweep planner's shape).  Mutates nothing; returns ``(completed,
-    info)`` where ``completed`` is the ``(rows, packets)`` completion
-    tensor and ``info`` is one ``(busy_per_txn, last_starts)`` pair per
-    stage for the caller's state fold-back (``busy_per_txn`` is an int
-    or a ``(rows,)`` array; ``last_starts`` is each row's final issue
-    edge at that stage).
-    """
-    count = int(arrivals.shape[1])
-    uniform = np.isscalar(sizes) or getattr(sizes, "ndim", 1) == 0
-    out = arrivals
-    completed = arrivals
-    index = np.arange(count, dtype=np.int64)[None, :]
-    info = []
-    final = len(chain.stages) - 1
-    for position, stage in enumerate(chain.stages):
-        period = stage.clock.period_ps
-        if uniform:
-            beats = stage.beats(int(sizes))
-            busy = (beats * stage.initiation_interval
-                    + stage.per_transaction_overhead_cycles) * period
-            tail = (stage.latency_cycles
-                    + (beats - 1) * stage.initiation_interval) * period
-            busy_col = busy
-            tail_col = tail
-        else:
-            beats = _stage_beats(stage, sizes)
-            busy = (beats * stage.initiation_interval
-                    + stage.per_transaction_overhead_cycles) * period
-            tail = (stage.latency_cycles
-                    + (beats - 1) * stage.initiation_interval) * period
-            busy_col = busy[:, None]
-            tail_col = tail[:, None]
-        latency = stage.latency_cycles * period
-        # _next_edge_array hands back a fresh buffer; from here on every
-        # op mutates it in place, without per-stage temporaries.
-        starts = _next_edge_array(out, period)
-        free0 = stage._next_free_ps
-        if free0 > 0:
-            # next_edge distributes over max, so the carried-in occupancy
-            # only gates each row's first issue edge.
-            aligned = int(math.ceil(free0 / period)) * period
-            np.maximum(starts[:, 0], aligned, out=starts[:, 0])
-        ramp = busy_col * index
-        # starts = ramp + cummax(edges - ramp) along the packet axis.
-        starts -= ramp
-        np.maximum.accumulate(starts, axis=1, out=starts)
-        starts += ramp
-        info.append((busy, starts[:, -1].copy()))
-        if position == final:
-            starts += tail_col
-            completed = starts
-        else:
-            starts += latency
-            out = starts
-    return completed, info
 
 
 def simulate_trains(
@@ -224,26 +306,23 @@ def simulate_trains(
     rows, count = (int(arrivals.shape[0]), int(arrivals.shape[1]))
     if rows == 0 or count == 0:
         raise ConfigurationError("a train batch needs >= 1 row and packet")
-    uniform = np.isscalar(sizes_bytes) or getattr(sizes_bytes, "ndim", 1) == 0
-    if not uniform:
+    if np.isscalar(sizes_bytes) or getattr(sizes_bytes, "ndim", 1) == 0:
+        sizes = [int(sizes_bytes)] * rows
+    else:
         sizes_bytes = np.asarray(sizes_bytes, dtype=np.int64)
         if sizes_bytes.shape != (rows,):
             raise ConfigurationError(
                 "per-row sizes must be one int per train row"
             )
+        sizes = sizes_bytes.tolist()
     with _profile_phase("vector.kernel"):
-        completed, info = _replay_trains(chain, arrivals, sizes_bytes)
+        schedule, info = _replay_trains(chain, arrivals, sizes)
+    completed = schedule.astype(np.int64)
     if update_state:
-        for stage, (busy, last_starts) in zip(chain.stages, info):
-            if np.isscalar(busy) or getattr(busy, "ndim", 1) == 0:
-                total_busy = int(busy) * count * rows
-                last_busy = int(busy)
-            else:
-                total_busy = int(busy.sum()) * count
-                last_busy = int(busy[-1])
-            stage._next_free_ps = int(last_starts[-1]) + last_busy
+        for stage, (busy, last_start) in zip(chain.stages, info):
+            stage._next_free_ps = last_start + busy[-1]
             stage.transactions_processed += rows * count
-            stage.busy_ps += total_busy
+            stage.busy_ps += sum(busy) * count
     return TrainsTiming(arrivals, completed)
 
 
@@ -286,30 +365,36 @@ def run_packet_sweep_vector_batch(
                 else chain.bandwidth_bps(size) * 0.98)
         gaps.append(size * 8 / load * 1e12)
     index = np.arange(packet_count, dtype=np.float64)[None, :]
-    arrivals = np.rint(
-        np.asarray(gaps, dtype=np.float64)[:, None] * index
-    ).astype(np.int64)
-    sizes_arr = np.asarray(sizes, dtype=np.int64)
+    # Arrival times stay float64 (rint leaves them whole): the kernel
+    # converts its schedule to int64 once, on the way out.
+    arrivals = np.asarray(gaps, dtype=np.float64)[:, None] * index
+    np.rint(arrivals, out=arrivals)
     with _profile_phase("vector.kernel"):
-        completed, info = _replay_trains(chain, arrivals, sizes_arr)
+        schedule, info = _replay_trains(chain, arrivals, sizes)
     # Fold back the *last* row's state only: the sequential per-point
     # loop resets the chain at each point, so after it runs the chain
     # carries exactly (and only) the final point's occupancy and stats.
-    for stage, (busy, last_starts) in zip(chain.stages, info):
-        last_busy = int(busy if np.isscalar(busy) else busy[-1])
-        stage._next_free_ps = int(last_starts[-1]) + last_busy
+    for stage, (busy, last_start) in zip(chain.stages, info):
+        last_busy = busy[-1]
+        stage._next_free_ps = last_start + last_busy
         stage.transactions_processed += packet_count
         stage.busy_ps += last_busy * packet_count
-    latencies = completed - arrivals
+    firsts = schedule[:, 0].astype(np.int64).tolist()
+    lasts = schedule[:, -1].astype(np.int64).tolist()
+    # Per-packet latencies are exact in float64; their sums may pass
+    # 2**53, so they are summed in int64, converted into the arrival
+    # buffer (done with by now) rather than a fresh one.
+    schedule -= arrivals
+    latencies = arrivals.view(np.int64)
+    np.copyto(latencies, schedule, casting="unsafe")
+    total_latencies = latencies.sum(axis=1).tolist()
     results: List[Tuple[float, float]] = []
     for row, size in enumerate(sizes):
         # Per-row scalar arithmetic replicates run_packet_sweep_reference's
         # float expressions operand for operand.
-        first = int(completed[row, 0])
-        last = int(completed[row, -1])
-        total_latency = int(latencies[row].sum())
-        duration_ps = max(last - (first or 0), 1)
+        first = firsts[row]
+        duration_ps = max(lasts[row] - (first or 0), 1)
         throughput_bps = (packet_count - 1) * size * 8 / (duration_ps / 1e12)
-        mean_latency_ns = total_latency / packet_count / 1_000
+        mean_latency_ns = total_latencies[row] / packet_count / 1_000
         results.append((throughput_bps, mean_latency_ns))
     return results

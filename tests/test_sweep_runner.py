@@ -7,12 +7,15 @@ returns what a fresh simulation would have produced, including traces;
 (3) ``run_packet_sweep`` agrees exactly with the pinned reference loop.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.apps import application_by_name
 from repro.errors import ConfigurationError, HarmoniaError
 from repro.platform.catalog import device_by_name
 from repro.runtime.sweep import (
+    PointResult,
     SweepCache,
     SweepPlan,
     SweepPoint,
@@ -72,6 +75,23 @@ class TestPlan:
         point = SweepPoint(app="a", device="d", packet_size_bytes=64,
                            packet_count=10, with_harmonia=False)
         assert point.label() == "a@d/native/64B"
+
+    @pytest.mark.parametrize("cls,args", [
+        (SweepPoint, ("a", "d", 64, 10)),
+        (PointResult, (None, 1.0, 2.0, "k", True)),
+    ])
+    def test_hand_written_init_sets_every_field_and_stays_frozen(
+            self, cls, args):
+        value = cls(*args)
+        fields = dataclasses.fields(cls)
+        assert list(vars(value)) == [field.name for field in fields]
+        for field, arg in zip(fields, args):
+            assert getattr(value, field.name) == arg
+        for field in fields[len(args):]:
+            assert getattr(value, field.name) == field.default
+        assert dataclasses.replace(value) == value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.cached = False
 
 
 class TestCacheKey:

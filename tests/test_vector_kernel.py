@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError
+from repro.apps import all_applications, application_by_name
+from repro.errors import ConfigurationError, HarmoniaError
+from repro.platform.catalog import all_devices, device_by_name
+from repro.runtime import SimContext
 from repro.sim.clock import ClockDomain
 from repro.sim.pipeline import (
     PipelineChain,
@@ -23,6 +26,7 @@ from repro.sim.pipeline import (
 )
 from repro.sim.vector import (
     ENGINES,
+    _clock_runs,
     chain_supports_vector,
     resolve_engine,
     run_packet_sweep_vector_batch,
@@ -60,11 +64,20 @@ class OddStage(PipelineStage):
 
 @st.composite
 def chains(draw, max_stages: int = 4) -> PipelineChain:
+    """Random chains whose clocks come from a small shared pool.
+
+    Catalog chains put neighbouring stages on one clock (CMAC ingress
+    and its wrapper, a CDC and its role), which the kernel collapses
+    into one running maximum; a pool of one to three clocks makes such
+    same-period runs common here too.
+    """
     count = draw(st.integers(1, max_stages))
+    pool = draw(st.lists(st.sampled_from(FREQS), min_size=1, max_size=3,
+                         unique=True))
     stages = [
         PipelineStage(
             f"s{index}",
-            ClockDomain(f"c{index}", draw(st.sampled_from(FREQS))),
+            ClockDomain(f"c{index}", draw(st.sampled_from(pool))),
             draw(st.sampled_from(WIDTHS)),
             latency_cycles=draw(st.integers(0, 24)),
             initiation_interval=draw(st.integers(1, 4)),
@@ -123,6 +136,136 @@ class TestTrainExactness:
             chain, packet_size_bytes=size, packet_count=count)
         [actual] = run_packet_sweep_vector_batch(chain, [size], count)
         assert actual == expected
+
+
+def cmac_chain():
+    """A catalog-shaped chain: two same-clock runs between lone stages.
+
+    Link, then CMAC ingress + wrapper + an extra function on the
+    322 MHz CMAC clock, then CDC + role on a 350 MHz role clock, then
+    CMAC egress -- seven stages, four clock runs.
+    """
+    cmac = ClockDomain("cmac", 322.265625)
+    role = ClockDomain("role", 350.0)
+    return PipelineChain("cmac", [
+        PipelineStage("link", ClockDomain("link", 1_562.5), 64,
+                      latency_cycles=8, per_transaction_overhead_cycles=3),
+        PipelineStage("ingress", cmac, 512, latency_cycles=14),
+        PipelineStage("wrapper", cmac, 512, latency_cycles=3,
+                      initiation_interval=2),
+        PipelineStage("exfn", cmac, 256, latency_cycles=2,
+                      per_transaction_overhead_cycles=1),
+        PipelineStage("cdc", role, 512, latency_cycles=3),
+        PipelineStage("role", role, 64, latency_cycles=32),
+        PipelineStage("egress", cmac, 512, latency_cycles=14),
+    ])
+
+
+def assert_matches_oracle(arrivals, size, prepare=lambda chain: None):
+    """One train through a fresh ``cmac_chain`` both ways, state included."""
+    oracle_chain, vector_chain = cmac_chain(), cmac_chain()
+    prepare(oracle_chain)
+    prepare(vector_chain)
+    expected = oracle_completions(oracle_chain, arrivals, size)
+    timing = simulate_trains(vector_chain, np.asarray([arrivals]), size)
+    assert timing.completed_ps[0].tolist() == expected
+    assert stage_state(vector_chain) == stage_state(oracle_chain)
+
+
+class TestSameClockRuns:
+    """Deterministic pins for the run collapse and the identity skip."""
+
+    def test_catalog_shape_collapses_to_four_runs(self):
+        assert _clock_runs(cmac_chain().stages) == [(0, 1), (1, 4), (4, 6),
+                                                    (6, 7)]
+
+    @pytest.mark.parametrize("size", [64, 700, 1500])
+    def test_saturated_train_needs_the_running_max(self, size):
+        assert_matches_oracle([0] * 64, size)
+
+    @pytest.mark.parametrize("size", [64, 700, 1500])
+    def test_spaced_train_takes_the_skip(self, size):
+        assert_matches_oracle([index * 1_000_000 for index in range(64)], size)
+
+    def test_mixed_bursts_and_gaps(self):
+        arrivals = [0, 0, 0, 5_000, 5_000, 900_000, 900_001, 2_000_000]
+        assert_matches_oracle(arrivals, 1_024)
+
+    def test_carried_in_occupancy_splits_a_run(self):
+        def warm_wrapper(chain):
+            chain.stages[2]._next_free_ps = 1_234_567
+
+        chain = cmac_chain()
+        warm_wrapper(chain)
+        assert _clock_runs(chain.stages) == [(0, 1), (1, 2), (2, 4), (4, 6),
+                                             (6, 7)]
+        assert_matches_oracle([0] * 40, 512, warm_wrapper)
+        assert_matches_oracle([index * 300_000 for index in range(40)], 512,
+                              warm_wrapper)
+
+    def test_carried_in_occupancy_on_a_spaced_train(self):
+        """A busy stage squeezes the first gap of an otherwise spaced train.
+
+        The CDC is still busy when the first packet reaches it, so its
+        first issue edge moves to within 100 ns of the second packet's;
+        the role's running max is needed although every later gap is
+        1 us wide.
+        """
+        def busy_cdc(chain):
+            chain.stages[4]._next_free_ps = 964_000
+
+        assert_matches_oracle([index * 1_000_000 for index in range(32)],
+                              1_500, busy_cdc)
+
+    @pytest.mark.parametrize("split", [1, 17, 63])
+    def test_split_train_matches_the_oracle(self, split):
+        arrivals = [index * 9_000 if index % 7 else index * 8_000
+                    for index in range(64)]
+        chain = cmac_chain()
+        expected = oracle_completions(chain, arrivals, 900)
+        expected_state = stage_state(chain)
+        chain = cmac_chain()
+        head = simulate_trains(chain, np.asarray([arrivals[:split]]), 900)
+        tail = simulate_trains(chain, np.asarray([arrivals[split:]]), 900)
+        assert (head.completed_ps[0].tolist() + tail.completed_ps[0].tolist()
+                == expected)
+        assert stage_state(chain) == expected_state
+
+
+def analytic_catalog_pairs():
+    """Every (app, device) whose tailored datapath runs on the kernel."""
+    pairs = []
+    for app in all_applications():
+        for device in all_devices():
+            try:
+                chain = app.datapath(app.tailored_shell(device), True)
+            except HarmoniaError:
+                continue
+            if chain_supports_vector(chain):
+                pairs.append((app.name, device.name))
+    return pairs
+
+
+class TestCatalogGrid:
+    """The fused kernel equals the oracle on every catalog datapath."""
+
+    SIZES = (64, 65, 1_500, 4_573, 9_000)
+    PACKETS = 300
+
+    @pytest.mark.parametrize("app_name,device_name", analytic_catalog_pairs())
+    @pytest.mark.parametrize("with_harmonia", [True, False])
+    def test_fused_group_matches_oracle(self, app_name, device_name,
+                                        with_harmonia):
+        app = application_by_name(app_name)
+        shell = app.tailored_shell(device_by_name(device_name))
+        oracle_chain = app.datapath(shell, with_harmonia)
+        expected = [run_packet_sweep_reference(oracle_chain, size,
+                                               self.PACKETS)
+                    for size in self.SIZES]
+        vector_chain = app.datapath(shell, with_harmonia)
+        assert run_packet_sweep_vector_batch(
+            vector_chain, self.SIZES, self.PACKETS) == expected
+        assert stage_state(vector_chain) == stage_state(oracle_chain)
 
 
 class TestThroughputMonotonicity:
@@ -205,6 +348,23 @@ class TestEngineSelection:
         vec = run_packet_sweep(chain, 256, 500, engine="vector")
         auto = run_packet_sweep(chain, 256, 500, engine="auto")
         assert des == vec == auto
+
+    @pytest.mark.parametrize("engine", ["auto", "des"])
+    def test_quiet_context_matches_traced_and_plain(self, engine):
+        """A disabled trace bus skips the traced head, invisibly."""
+        chain = cmac_chain()
+        plain = run_packet_sweep(chain, 700, 300, engine=engine)
+        stats = []
+        for trace in (False, True):
+            context = SimContext(name="quiet", trace=trace)
+            assert run_packet_sweep(chain, 700, 300, context=context,
+                                    engine=engine) == plain
+            histogram = context.metrics.histogram("sweep.cmac.700B.latency_ps")
+            stats.append((histogram.count, histogram.mean_ps,
+                          histogram.min_ps, histogram.max_ps,
+                          histogram.percentile_ps(0.99)))
+            assert bool(len(context.trace)) is trace
+        assert stats[0] == stats[1]
 
     def test_overridden_process_runs_on_the_oracle(self):
         """A stage that overrides ``process`` is honoured, not skipped."""
