@@ -422,8 +422,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8",
                   newline="\n") as handle:
-            handle.write(result.merged_trace_jsonl())
-        print(f"# wrote merged trace to {args.trace_out}", file=sys.stderr)
+            handle.write(outcome.trace_jsonl)
+        print(f"# wrote stitched trace to {args.trace_out}", file=sys.stderr)
     if args.json:
         with open(args.json, "w", encoding="utf-8", newline="\n") as handle:
             json.dump(result.to_json(), handle, indent=2, sort_keys=True)
@@ -839,7 +839,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cache-file",
                        help="load/save the result cache at this JSON path")
     sweep.add_argument("--trace-out",
-                       help="trace every point; write merged JSONL here")
+                       help="trace every point; write the stitched span "
+                            "tree (JSONL) here")
     sweep.add_argument("--json", help="write per-point results JSON here")
     sweep.add_argument("--engine", choices=("auto", "vector", "des"),
                        help="implementation for cache misses: auto picks the "

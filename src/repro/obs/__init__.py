@@ -16,8 +16,8 @@ monitoring half the paper dedicates in every RBB's reusable logic
 * :mod:`repro.obs.slo` -- declarative SLO specs evaluated against the
   metrics registry, with violations emitted as trace instants;
 * :mod:`repro.obs.tracectx` -- request-scoped trace contexts and the
-  plan-order stitcher that merges per-worker span fragments into one
-  connected, deterministic tree;
+  plan-order stitcher that merges each sweep point's span records into
+  one connected, deterministic tree;
 * :mod:`repro.obs.window` -- sliding-window serve telemetry: rolling
   rates, exponential-bucket latency histograms, SLO burn rates;
 * :mod:`repro.obs.analyze` -- trace analytics over exported JSONL:

@@ -1,12 +1,9 @@
 """Request-scoped trace context and per-point span stitching.
 
 The serving daemon handles every request on one asyncio loop and runs
-each scenario on an execution thread.  A traced sweep comes back as one
-JSONL fragment per point, each recorded on its own fresh context, so
-every fragment's span ids start at 0.  Concatenating the fragments
-(``merged_trace_jsonl``) gives a *forest* -- useful for eyeballing,
-useless for request attribution, because nothing connects a point's
-spans to the request that ran it.
+each scenario on an execution thread.  A traced sweep records each
+point on its own fresh context, so every point's span ids start at 0
+and nothing yet connects a point's spans to the request that ran it.
 
 This module closes that gap:
 
@@ -15,22 +12,22 @@ This module closes that gap:
   sequence, through ``service.run_scenario``, into the execution root
   span of fleet and build runs.  Sweep responses deliberately do *not*
   embed the per-request id (see below).
-* :func:`stitch_spans` -- the plan-order merge.  Per-point fragments
-  are renumbered into one id space and re-parented under a synthetic
-  ``serve.request`` -> ``serve.execute`` root, producing a single
-  connected span tree.
+* :func:`stitch_spans` -- the plan-order merge.  Each point's span
+  records are renumbered into one id space and re-parented under a
+  synthetic ``serve.request`` -> ``serve.execute`` root, producing a
+  single connected span tree, and each record is encoded once.
 
-Both halves preserve the determinism contract.  Each fragment's spans
-come from a fresh per-point context (ids from 0, sim-time timestamps),
-and the merge walks fragments in plan order with a running id offset --
-so the stitched tree is **byte-identical at any cache temperature**.
+Both halves preserve the determinism contract.  Each point's spans
+come from a fresh per-point context (ids from 0, sim-time timestamps;
+traced points never come from the result cache), and the merge walks
+points in plan order with a running id offset -- so the stitched tree
+is **byte-identical at any cache temperature**.
 And because a sweep response must stay a pure function of its scenario
 (request coalescing serves one leader's bytes to every follower), the
 stitched artifact's trace id is derived from the scenario id, never
 from the request: :meth:`TraceContext.for_scenario`.
 """
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
@@ -83,16 +80,18 @@ class TraceContext:
         return TraceContext(trace_id=self.trace_id, parent_span=parent_span)
 
 
-def stitch_spans(segments: Sequence[str], *, trace_id: str,
+def stitch_spans(segments: Sequence[Sequence[Mapping[str, Any]]], *,
+                 trace_id: str,
                  root_name: str = "serve.request",
                  root_attrs: Optional[Dict[str, Any]] = None,
                  exec_name: str = "serve.execute",
                  exec_attrs: Optional[Dict[str, Any]] = None) -> str:
-    """Merge per-point JSONL fragments into one connected span tree.
+    """Merge per-point span records into one connected span tree.
 
-    ``segments`` are each point's exported JSONL (possibly ``""`` for
-    untraced/cache-poisoned entries), **in plan order**.  The output is
-    one JSONL document::
+    ``segments`` are each point's trace records (possibly empty),
+    **in plan order**.  Records are copied before renumbering, never
+    mutated: deduplicated points share one record sequence.  The output
+    is one JSONL document::
 
         B id=0  <root_name>   (attrs: trace_id + root_attrs)
         B id=1  <exec_name>   parent=0
@@ -103,33 +102,25 @@ def stitch_spans(segments: Sequence[str], *, trace_id: str,
     Fragment ids are assumed to start at 0 per fragment (what a fresh
     per-point :class:`~repro.runtime.context.SimContext` produces); the
     running offset renumbers them without collisions.  Output bytes are
-    a pure function of the fragments and names -- byte-identical no
-    matter whether the fragments were just computed or came from the
-    cache.
+    a pure function of the records and names.
     """
-    records: List[Dict[str, Any]] = []
     root: Dict[str, Any] = {"type": "B", "id": 0, "name": root_name,
                             "ts_ps": 0, "attrs": {"trace_id": trace_id}}
     if root_attrs:
         root["attrs"].update(root_attrs)
-    records.append(root)
     execute: Dict[str, Any] = {"type": "B", "id": 1, "name": exec_name,
                                "ts_ps": 0, "parent": 0}
     if exec_attrs:
         execute["attrs"] = dict(exec_attrs)
-    records.append(execute)
+    lines: List[str] = [dumps_record(root), dumps_record(execute)]
 
     next_id = 2
     latest_ts = 0
     for segment in segments:
-        if not segment:
-            continue
         offset = next_id
         max_id = -1
-        for line in segment.splitlines():
-            if not line:
-                continue
-            record = json.loads(line)
+        for record in segment:
+            record = dict(record)
             old_id = record["id"]
             if old_id > max_id:
                 max_id = old_id
@@ -143,10 +134,10 @@ def stitch_spans(segments: Sequence[str], *, trace_id: str,
             end_ts = record["ts_ps"] + record.get("dur_ps", 0)
             if end_ts > latest_ts:
                 latest_ts = end_ts
-            records.append(record)
+            lines.append(dumps_record(record))
         next_id = offset + max_id + 1
-    records.append({"type": "E", "id": 1, "name": exec_name,
-                    "ts_ps": latest_ts})
-    records.append({"type": "E", "id": 0, "name": root_name,
-                    "ts_ps": latest_ts})
-    return "\n".join(dumps_record(record) for record in records) + "\n"
+    lines.append(dumps_record({"type": "E", "id": 1, "name": exec_name,
+                               "ts_ps": latest_ts}))
+    lines.append(dumps_record({"type": "E", "id": 0, "name": root_name,
+                               "ts_ps": latest_ts}))
+    return "\n".join(lines) + "\n"

@@ -14,7 +14,8 @@ bookkeeping:
   of those inputs, so a repeated figure is a cache lookup, not a
   re-simulation;
 * a :class:`SweepRunner` probes the cache, runs the misses in this
-  process, and merges results in plan order.
+  process, and merges results in plan order.  Traced points skip the
+  cache.
 
 Each cold point executes on one of two implementations: the closed-form
 numpy kernel (:mod:`repro.sim.vector`), which batches every untraced
@@ -210,10 +211,9 @@ def sweep_cache_key(
     The key is the sha256 of the compact, key-sorted JSON list of the
     signature's stages followed by the point's size, count, load and
     ``trace_of``.  ``trace_of`` is the chain name and is folded in
-    **only for traced points**: throughput/latency are pure functions
-    of the timing signature alone, but an exported trace embeds span
-    names, so a traced entry may only be reused under the same chain
-    name.  ``signature`` must not be mutated between calls (a tuple,
+    **only for traced points**: they never enter the cache, but their
+    keys are part of the response bodies, so those keys must not change.
+    ``signature`` must not be mutated between calls (a tuple,
     as :func:`chain_signature` returns, cannot be): a repeat of the
     same object reuses its encoding.
     """
@@ -236,12 +236,10 @@ def sweep_cache_key(
 class SweepCache:
     """In-memory (optionally file-backed) memo of sweep-point results.
 
-    Entries are keyed by :func:`sweep_cache_key` and carry the measured
-    throughput/latency plus, when the point was traced, its exported
-    JSONL -- a warm hit must be able to reproduce the cold run's trace
-    byte for byte.  An entry without a stored trace does **not** satisfy
-    a traced request (it counts as a miss), so enabling tracing never
-    silently loses spans.
+    Entries are keyed by :func:`sweep_cache_key` and carry an untraced
+    point's ``throughput_bps`` and ``mean_latency_ns``.  Traced points
+    are never probed or stored, so a traced flood cannot evict the
+    untraced working set.
 
     ``max_entries`` bounds residency: the cache becomes an LRU (a hit
     refreshes an entry, a store beyond the bound evicts the least
@@ -283,11 +281,10 @@ class SweepCache:
             if self._metrics is not None:
                 self._metrics.increment("sweep.cache.evictions")
 
-    def _lookup_locked(self, key: str, need_trace: bool
-                       ) -> Optional[Dict[str, Any]]:
+    def _lookup_locked(self, key: str) -> Optional[Dict[str, Any]]:
         # Called with the lock held.
         entry = self._entries.get(key)
-        if entry is None or (need_trace and "trace_jsonl" not in entry):
+        if entry is None:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
@@ -296,31 +293,25 @@ class SweepCache:
 
     def _store_locked(self, key: str, entry: Dict[str, Any]) -> None:
         # Called with the lock held.
-        existing = self._entries.get(key)
-        if (existing is not None and "trace_jsonl" in existing
-                and "trace_jsonl" not in entry):
-            self._entries.move_to_end(key)
-            return  # never downgrade an entry that carries its trace
         self._entries[key] = dict(entry)
         self._entries.move_to_end(key)
         self._evict_over_bound()
 
-    def lookup(self, key: str, need_trace: bool) -> Optional[Dict[str, Any]]:
+    def lookup(self, key: str) -> Optional[Dict[str, Any]]:
         with self._lock:
-            return self._lookup_locked(key, need_trace)
+            return self._lookup_locked(key)
 
-    def lookup_many(self, keys: Sequence[str], need_traces: Sequence[bool]
+    def lookup_many(self, keys: Sequence[str]
                     ) -> List[Optional[Dict[str, Any]]]:
         """Probe a whole plan's keys under one lock acquisition.
 
-        Semantically identical to ``[lookup(k, t) for k, t in ...]``
-        (hit/miss counters, LRU refresh, trace-bearing rules), but a
-        45-point sweep pays one lock round trip instead of 45 -- the
-        probe the fused planner issues before partitioning work.
+        Semantically identical to ``[lookup(k) for k in keys]`` (hit/miss
+        counters, LRU refresh), but a 45-point sweep pays one lock round
+        trip instead of 45 -- the probe the fused planner issues before
+        partitioning work.
         """
         with self._lock:
-            return [self._lookup_locked(key, need)
-                    for key, need in zip(keys, need_traces)]
+            return [self._lookup_locked(key) for key in keys]
 
     def store(self, key: str, entry: Dict[str, Any]) -> None:
         with self._lock:
@@ -329,8 +320,8 @@ class SweepCache:
     def store_many(self, items: Iterable[Tuple[str, Dict[str, Any]]]) -> None:
         """Insert many entries under one lock acquisition.
 
-        Same per-entry semantics as :meth:`store` (trace-downgrade
-        protection, LRU bound enforced after every insert).
+        Same per-entry semantics as :meth:`store` (LRU bound enforced
+        after every insert).
         """
         with self._lock:
             for key, entry in items:
@@ -378,8 +369,10 @@ class SweepCache:
         """Merge entries from ``path``; returns how many were loaded.
 
         A file that is not valid JSON (e.g. truncated by a crash that
-        predates atomic saves) raises :class:`ConfigurationError` with
-        the path, not a bare ``json`` traceback.
+        predates atomic saves), or an entry without numeric result
+        fields, raises :class:`ConfigurationError` naming the path (and
+        the key), not a bare traceback on a later hit.  Other fields (an
+        old file's ``trace_jsonl``) are dropped.
         """
         with open(path) as handle:
             try:
@@ -391,11 +384,22 @@ class SweepCache:
                 ) from None
         if not isinstance(loaded, dict):
             raise ConfigurationError(f"{path} is not a sweep cache file")
+        entries = {key: _checked_entry(path, key, entry)
+                   for key, entry in loaded.items()}
         with self._lock:
-            for key, entry in loaded.items():
+            for key, entry in entries.items():
                 self._entries.setdefault(key, entry)
             self._evict_over_bound()
         return len(loaded)
+
+
+def _checked_entry(path: str, key: str, entry: Any) -> Dict[str, Any]:
+    fields = ("throughput_bps", "mean_latency_ns")
+    if not (isinstance(entry, dict) and all(
+            type(entry.get(name)) in (int, float) for name in fields)):
+        raise ConfigurationError(f"{path}: sweep cache entry {key!r} needs "
+                                 f"numeric {' and '.join(fields)}")
+    return {name: entry[name] for name in fields}
 
 
 #: The process-wide cache every runner joins unless given a private one.
@@ -463,7 +467,8 @@ def run_point(point: SweepPoint) -> Dict[str, Any]:
     not depend on whether the caller happened to sit inside a
     ``with SimContext():`` block.  :func:`run_packet_sweep` restarts
     transaction ids at 0, so the ids a traced point embeds in its spans
-    cannot depend on whatever ran earlier in this process.  The runner's
+    cannot depend on whatever ran earlier in this process.  A traced
+    point's live span records ride under ``spans``.  The runner's
     per-point path and the differential fuzzer (which pins the engine on
     the point it passes in) both call this.
     """
@@ -482,7 +487,7 @@ def run_point(point: SweepPoint) -> Dict[str, Any]:
         "mean_latency_ns": mean_latency_ns,
     }
     if context is not None:
-        entry["trace_jsonl"] = context.trace.export_jsonl()
+        entry["spans"] = tuple(context.trace.records)
     return entry
 
 
@@ -571,16 +576,17 @@ class PointResult:
     mean_latency_ns: float
     cache_key: str
     cached: bool
-    trace_jsonl: str = ""
+    #: A traced point's span records (ids from 0), in emission order.
+    spans: Tuple[Dict[str, Any], ...] = ()
 
     def __init__(self, point: SweepPoint, throughput_bps: float,
                  mean_latency_ns: float, cache_key: str, cached: bool,
-                 trace_jsonl: str = "") -> None:
+                 spans: Tuple[Dict[str, Any], ...] = ()) -> None:
         # One dict update, as in SweepPoint: a run builds one per point.
         self.__dict__.update(
             point=point, throughput_bps=throughput_bps,
             mean_latency_ns=mean_latency_ns, cache_key=cache_key,
-            cached=cached, trace_jsonl=trace_jsonl)
+            cached=cached, spans=spans)
 
 
 class SweepResult:
@@ -627,29 +633,20 @@ class SweepResult:
                                []).append(sample)
         return grouped
 
-    def merged_trace_jsonl(self) -> str:
-        """Every point's trace concatenated in plan order.
-
-        Per-point traces come from per-point fresh contexts, so the
-        concatenation is identical whether the points ran now or came
-        straight out of the cache.
-        """
-        return "".join(point.trace_jsonl for point in self.points)
-
     def stitched_trace_jsonl(self, *, trace_id: str,
                              scenario_id: Optional[str] = None) -> str:
         """One *connected* span tree: request -> execute -> point spans.
 
-        Unlike :meth:`merged_trace_jsonl` (a forest of per-point trees),
-        this renumbers every point's fragment into a single id space and
+        Renumbers every point's span records into a single id space and
         hangs the point roots under a synthetic ``serve.request`` ->
         ``serve.execute`` pair (see :func:`repro.obs.tracectx.stitch_spans`).
-        Fragments are walked in plan order, so the bytes are identical
-        at any cache temperature -- the property
-        that lets the serving daemon embed the tree in a coalesced
-        response.  Returns ``""`` when the plan was not traced.
+        Points are walked in plan order and traced points always
+        recompute on fresh contexts, so the bytes are a pure function of
+        the plan -- the property that lets the serving daemon embed the
+        tree in a coalesced response.  Returns ``""`` when the plan was
+        not traced.
         """
-        if not any(point.trace_jsonl for point in self.points):
+        if not any(point.spans for point in self.points):
             return ""
         from repro.obs.tracectx import stitch_spans
 
@@ -657,7 +654,7 @@ class SweepResult:
         if scenario_id is not None:
             root_attrs["scenario_id"] = scenario_id
         return stitch_spans(
-            [point.trace_jsonl for point in self.points],
+            [point.spans for point in self.points],
             trace_id=trace_id, root_attrs=root_attrs,
             exec_attrs={"kind": "sweep"})
 
@@ -694,11 +691,12 @@ class SweepResult:
 class SweepRunner:
     """Executes a :class:`SweepPlan` in-process with caching.
 
-    Cache-miss points are partitioned by the **fused planner**
-    (:func:`partition_fusable`): vector-eligible untraced points group
-    by (tailored chain, packet_count) and execute through the batched
-    kernel (:func:`repro.sim.vector.run_packet_sweep_vector_batch`), one
-    kernel launch per group.  The remainder (traced points, forced DES,
+    A traced plan skips the cache.  Cache-miss points are partitioned by
+    the **fused planner** (:func:`partition_fusable`): vector-eligible
+    untraced points group by (tailored chain, packet_count) and execute
+    through the batched kernel
+    (:func:`repro.sim.vector.run_packet_sweep_vector_batch`), one kernel
+    launch per group.  The remainder (traced points, forced DES,
     non-analytic chains) runs per-point through :func:`run_point`.
 
     Results are merged in plan order no matter how they executed, and
@@ -741,10 +739,10 @@ class SweepRunner:
             ))
 
         entries: List[Optional[Dict[str, Any]]]
-        if self.use_cache:
+        use_cache = self.use_cache and not self.plan.trace
+        if use_cache:
             # One lock acquisition for the whole plan's probe.
-            entries = self.cache.lookup_many(
-                keys, [point.trace for point in points])
+            entries = self.cache.lookup_many(keys)
         else:
             entries = [None] * len(points)
         pending = [index for index, entry in enumerate(entries)
@@ -754,7 +752,7 @@ class SweepRunner:
         if pending:
             # Intra-run dedup: two pending points with equal content keys
             # are the same pure computation (traced points fold the chain
-            # name into the key, so shared entries stay trace-safe).
+            # name into the key, so duplicates share the right spans).
             # Only the first index per key is executed.
             executed: List[int] = []
             duplicates: Dict[str, int] = {}
@@ -775,7 +773,7 @@ class SweepRunner:
             for index in pending:
                 if entries[index] is None:
                     entries[index] = entries[duplicates[keys[index]]]
-            if self.use_cache:
+            if use_cache:
                 # One lock acquisition for the whole plan's insert.
                 self.cache.store_many(
                     (keys[index], entries[index]) for index in executed)
@@ -788,7 +786,7 @@ class SweepRunner:
                 mean_latency_ns=entry["mean_latency_ns"],
                 cache_key=key,
                 cached=index not in pending_set,
-                trace_jsonl=entry.get("trace_jsonl", "") if point.trace else "",
+                spans=entry["spans"] if point.trace else (),
             )
             for index, (point, key, entry) in enumerate(zip(points, keys, entries))
         ]

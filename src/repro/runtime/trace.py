@@ -44,7 +44,8 @@ import json
 import os
 import tempfile
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Union
+from typing import (Any, Callable, Deque, Dict, List, Mapping, Optional,
+                    Union)
 
 #: Sentinel for "no explicit timestamp; read the context clock".
 _NOW = None
@@ -65,14 +66,14 @@ class _Detached:
 
 DETACHED = _Detached()
 
-#: ``json.dumps`` settings shared by the batch export and the streaming
-#: sinks -- one definition, so the two serialisations cannot drift.
-_DUMPS_KWARGS = {"sort_keys": True, "separators": (",", ":")}
+#: The one encoder behind the batch export and the streaming sinks, so
+#: the two serialisations cannot drift; built once, not per record.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def dumps_record(record: Dict[str, Any]) -> str:
+def dumps_record(record: Mapping[str, Any]) -> str:
     """Serialise one trace record exactly as :meth:`TraceBus.export_jsonl`."""
-    return json.dumps(record, **_DUMPS_KWARGS)
+    return _ENCODER.encode(record)
 
 
 class Span:

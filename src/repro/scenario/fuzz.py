@@ -24,15 +24,17 @@ Each scenario passes through four conformance checks:
   invariant under the engine field;
 * **kernel-oracle** -- every vector-eligible point runs on the forced
   ``des`` engine (the oracle) and the forced ``vector`` engine (a
-  one-row kernel call); entries must match **exactly** -- floats and the
-  full ``trace_jsonl`` -- as must the stage occupancy/statistics each
-  leaves on the chain, and the first point's metrics snapshot and trace
-  export.  Untraced points then run grouped through the fused kernel
+  one-row kernel call); entries must match **exactly** -- floats, and
+  every span record compared as its encoded bytes (so ``1`` vs ``1.0``
+  or ``0.0`` vs ``-0.0`` counts as a mismatch) -- as must the stage
+  occupancy/statistics each leaves on the chain, and the first point's
+  metrics snapshot and trace export.  Untraced points then run grouped through the fused kernel
   (:func:`repro.sim.vector.run_packet_sweep_vector_batch`), whose rows
   and folded-back stage state must equal the oracle's too;
 * **cache-tier** -- the plan runs cold then warm against a private
-  :class:`SweepCache`; the warm run must be all hits and numerically
-  and trace-wise identical to the cold run;
+  :class:`SweepCache`; an untraced warm run must be all hits and
+  numerically identical to the cold run, and a traced plan must never
+  touch the cache and must stitch byte-identical span trees both times;
 * **baseline-capabilities** -- every framework model keeps its Table 1
   capability row well-formed, ``deploy`` honours ``supports`` (loud
   :class:`IncompatiblePlatformError` when unsupported), Harmonia
@@ -404,9 +406,9 @@ class DifferentialFuzzer:
         Every vector-eligible point runs twice through :func:`run_point`:
         forced ``des`` (the oracle loop) and forced ``vector`` (a one-row
         kernel call, behind the traced head for traced points).  Result
-        entries and the stage occupancy/statistics each run leaves on
-        the chain must agree, and so must the first point's metrics
-        snapshot and trace export.  Untraced points are then grouped the
+        entries (span records as their encoded bytes) and the stage
+        occupancy/statistics each run leaves on the chain must agree, and
+        so must the first point's metrics snapshot and trace export.  Untraced points are then grouped the
         way the fused planner groups them (same tailored chain, same
         packet count) and run through
         :func:`repro.sim.vector.run_packet_sweep_vector_batch`: every row
@@ -427,9 +429,11 @@ class DifferentialFuzzer:
             chain = point_chain(point)
             if not chain_supports_vector(chain):
                 continue
-            oracle = run_point(dataclasses.replace(point, engine="des"))
+            oracle = _encoded(
+                run_point(dataclasses.replace(point, engine="des")))
             oracle_state = _stage_state(chain)
-            kernel = run_point(dataclasses.replace(point, engine="vector"))
+            kernel = _encoded(
+                run_point(dataclasses.replace(point, engine="vector")))
             if kernel != oracle:
                 diff = sorted(key for key in set(oracle) | set(kernel)
                               if oracle.get(key) != kernel.get(key))
@@ -480,7 +484,13 @@ class DifferentialFuzzer:
         return None
 
     def check_cache_tier(self, scenario: Scenario) -> Optional[str]:
-        """Cold vs warm runs of the plan against one private cache."""
+        """Cold vs warm runs of the plan against one private cache.
+
+        Untraced points must all hit on the warm run with identical
+        numbers.  Traced points bypass the cache, so a traced plan must
+        leave it empty, and its stitched span tree must be byte-identical
+        between the cold run and the rerun.
+        """
         if scenario.kind != "sweep":
             return None
         from repro.runtime.sweep import SweepCache, run_plan
@@ -489,18 +499,21 @@ class DifferentialFuzzer:
         cache = SweepCache()
         cold = run_plan(plan, cache=cache, engine=scenario.engine)
         warm = run_plan(plan, cache=cache, engine=scenario.engine)
-        missed = [r.point.label() for r in warm.points if not r.cached]
+        if plan.trace:
+            if len(cache) or any(r.cached for r in warm.points):
+                return "a traced plan read or wrote the result cache"
+            if (cold.stitched_trace_jsonl(trace_id="fuzz")
+                    != warm.stitched_trace_jsonl(trace_id="fuzz")):
+                return "stitched trace differs between cold and rerun"
+        missed = [r.point.label() for r in warm.points
+                  if not r.cached and not r.point.trace]
         if missed:
             return f"warm rerun missed the cache at {', '.join(missed)}"
         for cold_r, warm_r in zip(cold.points, warm.points):
-            if (cold_r.throughput_bps, cold_r.mean_latency_ns,
-                    cold_r.trace_jsonl) != (warm_r.throughput_bps,
-                                            warm_r.mean_latency_ns,
-                                            warm_r.trace_jsonl):
+            if ((cold_r.throughput_bps, cold_r.mean_latency_ns)
+                    != (warm_r.throughput_bps, warm_r.mean_latency_ns)):
                 return (f"cache tier diverged from the computed result "
                         f"at {cold_r.point.label()}")
-        if cold.merged_trace_jsonl() != warm.merged_trace_jsonl():
-            return "merged trace differs between cold and warm runs"
         return None
 
     def check_baseline_capabilities(self, scenario: Scenario) -> Optional[str]:
@@ -789,6 +802,19 @@ class DifferentialFuzzer:
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
+
+def _encoded(entry: Dict[str, Any]) -> Dict[str, Any]:
+    """A point entry with its span records as their encoded JSONL lines.
+
+    Dict equality would let ``1 == 1.0`` and ``0.0 == -0.0`` through;
+    the encoded bytes are what a response carries.
+    """
+    from repro.runtime.trace import dumps_record
+
+    if "spans" not in entry:
+        return entry
+    return dict(entry, spans=[dumps_record(r) for r in entry["spans"]])
+
 
 def _stage_state(chain) -> List[Tuple[int, int, int]]:
     """Each stage's occupancy and statistics, for fold-back comparisons."""

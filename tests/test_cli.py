@@ -205,6 +205,27 @@ class TestSweep:
         assert main(self.BASE + ["--trace-out", str(trace)]) == 0
         assert trace.read_text().count("\n") > 0
 
+    def test_trace_out_writes_one_stitched_tree(self, capsys, tmp_path):
+        import json
+
+        from repro.obs.tracectx import TraceContext
+
+        trace = tmp_path / "sweep.trace.jsonl"
+        analysis = tmp_path / "analysis.json"
+        assert main(self.BASE + ["--trace-out", str(trace)]) == 0
+        first = json.loads(trace.read_text().splitlines()[0])
+        assert first["name"] == "serve.request"
+        scenario_id = first["attrs"]["scenario_id"]
+        assert first["attrs"]["trace_id"] == \
+            TraceContext.for_scenario(scenario_id).trace_id
+        capsys.readouterr()
+        assert main(["trace", "analyze", str(trace),
+                     "--json", str(analysis)]) == 0
+        assert "1 roots" in capsys.readouterr().out
+        path = json.loads(analysis.read_text())["critical_path"]
+        assert [row["name"] for row in path[:2]] == ["serve.request",
+                                                     "serve.execute"]
+
     def test_unknown_device_errors(self, capsys):
         assert main(["sweep", "--apps", "sec-gateway",
                      "--devices", "nope"]) == 1

@@ -1,10 +1,10 @@
 """Trace-context propagation and the plan-order span stitcher.
 
 The two contracts pinned here: (1) stitched output is a pure function
-of the fragments -- byte-identical whether they were just computed or
-came out of the cache -- and (2) response-embedded trace ids derive from the scenario,
-never the request, so coalesced followers and cache hits stay
-byte-compatible with the leader.
+of the per-point span records, which the stitcher never mutates, so a
+rerun stitches byte-identical bytes -- and (2) response-embedded trace
+ids derive from the scenario, never the request, so coalesced followers
+stay byte-compatible with the leader.
 """
 
 import json
@@ -17,7 +17,7 @@ from repro.obs.tracectx import (
     stitch_spans,
 )
 from repro.runtime.sweep import SweepCache, SweepPlan, run_plan
-from repro.runtime.trace import TraceBus
+from repro.runtime.trace import TraceBus, dumps_record
 from repro.scenario import Scenario, WorkloadSpec
 from repro.service import run_scenario
 
@@ -66,13 +66,13 @@ class TestTraceContext:
 
 
 def _fragment(names, base_ts=0):
-    """A standalone JSONL fragment: ids from 0, first span rootless."""
+    """One point's span records: ids from 0, first span rootless."""
     bus = TraceBus(clock_ps=lambda: base_ts, enabled=True)
     root = bus.begin(names[0])
     for name in names[1:]:
         bus.complete(name, base_ts, base_ts + 10, parent=root.span_id)
     bus.end(root)
-    return bus.export_jsonl()
+    return tuple(bus.records)
 
 
 class TestStitch:
@@ -98,9 +98,31 @@ class TestStitch:
         assert min(ids) == 0
 
     def test_empty_segments_are_skipped(self):
-        with_gap = stitch_spans(["", _fragment(["a"]), ""], trace_id="t")
+        with_gap = stitch_spans([(), _fragment(["a"]), ()], trace_id="t")
         without = stitch_spans([_fragment(["a"])], trace_id="t")
         assert with_gap == without
+
+    def test_shared_records_are_copied_not_mutated(self):
+        # Deduplicated points hand the stitcher one record tuple twice.
+        fragment = _fragment(["a", "a.work"])
+        before = [dumps_record(record) for record in fragment]
+        stitched = stitch_spans([fragment, fragment], trace_id="t")
+        assert [dumps_record(record) for record in fragment] == before
+        records = parse_trace(stitched)
+        assert [r["id"] for r in records if r["name"] == "a"
+                and r["type"] == "B"] == [2, 4]
+        assert len(TraceAnalysis(records).roots) == 1
+
+    def test_live_records_stitch_like_their_parsed_export(self):
+        # Encoding live records once gives the bytes that parsing the
+        # exported JSONL back and re-encoding it would.
+        from repro.runtime.sweep import SweepPoint, run_point
+
+        spans = run_point(SweepPoint("sec-gateway", "device-a", 64, 20,
+                                     trace=True))["spans"]
+        parsed = [json.loads(dumps_record(record)) for record in spans]
+        assert (stitch_spans([spans, spans], trace_id="t")
+                == stitch_spans([parsed, parsed], trace_id="t"))
 
     def test_no_fragments_still_yields_a_closed_root(self):
         analysis = TraceAnalysis(parse_trace(stitch_spans([], trace_id="t")))
@@ -140,7 +162,7 @@ class TestSweepStitching:
         cache = SweepCache()
         cold = self._sweep(cache)
         warm = self._sweep(cache)
-        assert warm.cache_hits == len(warm)
+        assert warm.cache_hits == 0 and len(cache) == 0
         assert (cold.stitched_trace_jsonl(trace_id="t")
                 == warm.stitched_trace_jsonl(trace_id="t"))
         assert cold.stitched_trace_jsonl(trace_id="t").endswith("\n")

@@ -166,6 +166,62 @@ class TestVectorBatchCheck:
         assert load_scenario(failure.repro_path) == shrunk
 
 
+class TestSpanChecks:
+    @staticmethod
+    def _traced():
+        from repro.scenario import Scenario, WorkloadSpec
+
+        return Scenario(kind="sweep", apps=("sec-gateway",),
+                        devices=("device-a",),
+                        workload=WorkloadSpec(packet_sizes=(64, 256),
+                                              packets_per_point=4,
+                                              trace=True))
+
+    def test_traced_scenario_passes_both_checks(self):
+        fuzzer = DifferentialFuzzer(seed=1)
+        assert fuzzer.check_kernel_oracle(self._traced()) is None
+        assert fuzzer.check_cache_tier(self._traced()) is None
+
+    def test_kernel_oracle_compares_spans_as_encoded_bytes(self,
+                                                          monkeypatch):
+        # 5 == 5.0 as dicts, but not as the bytes a response carries.
+        import repro.runtime.sweep as sweep_module
+
+        real = sweep_module.run_point
+
+        def floated(point):
+            entry = real(point)
+            if point.engine == "vector":
+                first = dict(entry["spans"][0])
+                first["ts_ps"] = float(first["ts_ps"])
+                entry["spans"] = (first,) + entry["spans"][1:]
+            return entry
+
+        monkeypatch.setattr(sweep_module, "run_point", floated)
+        detail = DifferentialFuzzer(seed=1).check_kernel_oracle(
+            self._traced())
+        assert detail is not None and "spans" in detail
+
+    def test_cache_tier_catches_a_rerun_with_different_spans(self,
+                                                            monkeypatch):
+        import itertools
+
+        import repro.runtime.sweep as sweep_module
+
+        real = sweep_module.run_point
+        runs = itertools.count()
+
+        def drifting(point):
+            entry = real(point)
+            first = dict(entry["spans"][0], attrs={"run": next(runs)})
+            entry["spans"] = (first,) + entry["spans"][1:]
+            return entry
+
+        monkeypatch.setattr(sweep_module, "run_point", drifting)
+        detail = DifferentialFuzzer(seed=1).check_cache_tier(self._traced())
+        assert detail == "stitched trace differs between cold and rerun"
+
+
 class TestEpochDeltaCheck:
     def test_epoch_delta_is_a_standing_check(self):
         fuzzer = DifferentialFuzzer(seed=1)

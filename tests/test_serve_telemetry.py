@@ -245,7 +245,7 @@ class TestAccessLog:
 
 
 class TestServedTraceDeterminism:
-    def test_stitched_trace_is_identical_across_pool_widths(self):
+    def test_stitched_trace_same_across_exec_workers(self):
         bodies = []
         for exec_workers in (1, 4):
             config = ServeConfig(port=0, exec_workers=exec_workers)

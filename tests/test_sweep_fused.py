@@ -1,7 +1,7 @@
 """The fused multi-point planner inside :class:`SweepRunner`.
 
 The acceptance bar for the fused path: **invisible in the output**.
-``SweepResult.to_json()`` and ``merged_trace_jsonl()`` must be
+``SweepResult.to_json()`` and ``stitched_trace_jsonl()`` must be
 byte-identical whether cache-miss points run through the batched kernel
 or one at a time on the oracle loop (``engine="des"``); the provenance
 attributes -- and nothing else -- expose which path ran.
@@ -36,42 +36,30 @@ def small_plan(**overrides):
 
 def result_bytes(result):
     return (json.dumps(result.to_json(), sort_keys=True),
-            result.merged_trace_jsonl())
+            result.stitched_trace_jsonl(trace_id="t"))
 
 
 class TestBatchedCacheOps:
     def test_lookup_many_matches_singular_semantics(self):
         cache = SweepCache()
         cache.store("k1", {"throughput_bps": 1.0, "mean_latency_ns": 2.0})
-        cache.store("k2", {"throughput_bps": 3.0, "mean_latency_ns": 4.0,
-                           "trace_jsonl": "span\n"})
-        found = cache.lookup_many(["k1", "k2", "k1", "missing"],
-                                  [False, True, True, False])
+        cache.store("k2", {"throughput_bps": 3.0, "mean_latency_ns": 4.0})
+        found = cache.lookup_many(["k1", "k2", "k1", "missing"])
         assert found[0]["throughput_bps"] == 1.0
-        assert found[1]["trace_jsonl"] == "span\n"
-        assert found[2] is None    # k1 has no trace: traced probe misses
+        assert found[1]["throughput_bps"] == 3.0
+        assert found[2] is found[0]
         assert found[3] is None
-        assert cache.hits == 2 and cache.misses == 2
+        assert cache.hits == 3 and cache.misses == 1
 
     def test_lookup_many_refreshes_lru(self):
         cache = SweepCache(max_entries=2)
         cache.store("old", {"throughput_bps": 1.0})
         cache.store("new", {"throughput_bps": 2.0})
-        cache.lookup_many(["old"], [False])   # refresh: "new" is now LRU
+        cache.lookup_many(["old"])            # refresh: "new" is now LRU
         cache.store("third", {"throughput_bps": 3.0})
         assert cache.evictions == 1
-        assert cache.lookup("old", False) is not None
-        assert cache.lookup("new", False) is None
-
-    def test_store_many_keeps_downgrade_protection(self):
-        cache = SweepCache()
-        cache.store("k", {"throughput_bps": 1.0, "trace_jsonl": "span\n"})
-        cache.store_many([
-            ("k", {"throughput_bps": 1.0}),     # must not drop the trace
-            ("k2", {"throughput_bps": 2.0}),
-        ])
-        assert cache.lookup("k", True)["trace_jsonl"] == "span\n"
-        assert cache.lookup("k2", False)["throughput_bps"] == 2.0
+        assert cache.lookup("old") is not None
+        assert cache.lookup("new") is None
 
     def test_store_many_enforces_bound(self):
         cache = SweepCache(max_entries=2)
@@ -143,7 +131,7 @@ class TestDeterminism:
         kernel = SweepRunner(plan, cache=SweepCache()).run()
         oracle = SweepRunner(plan, cache=SweepCache(), engine="des").run()
         assert result_bytes(kernel) == result_bytes(oracle)
-        assert kernel.merged_trace_jsonl()
+        assert kernel.stitched_trace_jsonl(trace_id="t")
         assert kernel.fused_points == 0       # traces force per-point
         assert kernel.per_point_points == len(kernel)
 

@@ -2,12 +2,14 @@
 
 The load-bearing guarantees: (1) the engine is invisible -- a plan run
 on the vector kernel and on the ``des`` oracle loop produces
-byte-identical results and merged traces; (2) the cache only ever
-returns what a fresh simulation would have produced, including traces;
-(3) ``run_packet_sweep`` agrees exactly with the pinned reference loop.
+byte-identical results and stitched traces; (2) the cache only ever
+returns what a fresh simulation would have produced, and traced points
+never touch it; (3) ``run_packet_sweep`` agrees exactly with the pinned
+reference loop.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -128,20 +130,6 @@ class TestCacheKey:
 
 
 class TestSweepCache:
-    def test_untraced_entry_misses_for_traced_request(self):
-        cache = SweepCache()
-        cache.store("k", {"throughput_bps": 1.0, "mean_latency_ns": 2.0})
-        assert cache.lookup("k", need_trace=True) is None
-        assert cache.lookup("k", need_trace=False) is not None
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_traced_entry_never_downgraded(self):
-        cache = SweepCache()
-        cache.store("k", {"throughput_bps": 1.0, "mean_latency_ns": 2.0,
-                          "trace_jsonl": "line\n"})
-        cache.store("k", {"throughput_bps": 1.0, "mean_latency_ns": 2.0})
-        assert cache.lookup("k", need_trace=True)["trace_jsonl"] == "line\n"
-
     def test_save_load_roundtrip(self, tmp_path):
         cache = SweepCache()
         cache.store("k1", {"throughput_bps": 1.0, "mean_latency_ns": 2.0})
@@ -149,13 +137,46 @@ class TestSweepCache:
         assert cache.save(str(path)) == 1
         fresh = SweepCache()
         assert fresh.load(str(path)) == 1
-        assert fresh.lookup("k1", need_trace=False)["throughput_bps"] == 1.0
+        assert fresh.lookup("k1")["throughput_bps"] == 1.0
 
     def test_load_rejects_non_cache_file(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text("[1, 2, 3]\n")
         with pytest.raises(ConfigurationError):
             SweepCache().load(str(path))
+
+    @pytest.mark.parametrize("entry", [
+        5,
+        None,
+        [1.0, 2.0],
+        {"throughput_bps": "x", "mean_latency_ns": 2.0},
+        {"throughput_bps": 1.0},
+        {"mean_latency_ns": 2.0},
+        {"throughput_bps": 1.0, "mean_latency_ns": None},
+        {"throughput_bps": True, "mean_latency_ns": 2.0},
+    ])
+    def test_load_rejects_a_malformed_entry_naming_path_and_key(
+            self, tmp_path, entry):
+        path = tmp_path / "sweep.cache.json"
+        path.write_text(json.dumps({"good": {"throughput_bps": 1.0,
+                                             "mean_latency_ns": 2.0},
+                                    "bad-key": entry}))
+        cache = SweepCache()
+        with pytest.raises(ConfigurationError) as excinfo:
+            cache.load(str(path))
+        assert str(path) in str(excinfo.value)
+        assert "bad-key" in str(excinfo.value)
+        assert len(cache) == 0              # nothing half-loaded
+
+    def test_load_keeps_only_the_result_fields(self, tmp_path):
+        path = tmp_path / "sweep.cache.json"
+        path.write_text(json.dumps({"k": {
+            "throughput_bps": 1, "mean_latency_ns": 2.5,
+            "trace_jsonl": "{}\n"}}))
+        cache = SweepCache()
+        assert cache.load(str(path)) == 1
+        assert cache.lookup("k") == {"throughput_bps": 1,
+                                     "mean_latency_ns": 2.5}
 
     @staticmethod
     def _entry(value):
@@ -165,11 +186,11 @@ class TestSweepCache:
         cache = SweepCache(max_entries=2)
         cache.store("a", self._entry(1))
         cache.store("b", self._entry(2))
-        assert cache.lookup("a", need_trace=False) is not None  # refresh a
-        cache.store("c", self._entry(3))                        # evicts b
-        assert cache.lookup("b", need_trace=False) is None
-        assert cache.lookup("a", need_trace=False) is not None
-        assert cache.lookup("c", need_trace=False) is not None
+        assert cache.lookup("a") is not None    # refresh a
+        cache.store("c", self._entry(3))        # evicts b
+        assert cache.lookup("b") is None
+        assert cache.lookup("a") is not None
+        assert cache.lookup("c") is not None
         assert cache.evictions == 1
         assert len(cache) == 2
 
@@ -225,6 +246,51 @@ class TestRunner:
         assert result.cache_hits == 0
         assert len(cache) == 0
 
+    def test_traced_sweep_leaves_the_cache_untouched(self):
+        cache = SweepCache(max_entries=4)
+        run_plan(small_plan(packet_sizes=(64, 128)), cache=cache)
+        before = (len(cache), cache.evictions, cache.hits, cache.misses)
+        traced = run_plan(small_plan(packet_sizes=(64, 128, 256, 512, 1024),
+                                     packets_per_point=20, trace=True),
+                          cache=cache)
+        assert traced.cache_hits == 0
+        assert (len(cache), cache.evictions, cache.hits,
+                cache.misses) == before
+
+    def test_traced_flood_keeps_the_untraced_working_set_resident(self):
+        cache = SweepCache(max_entries=4)
+        working = small_plan(packet_sizes=(64, 128, 256, 512))
+        run_plan(working, cache=cache)
+        for packets in range(20, 26):       # six unseen traced sweeps
+            run_plan(small_plan(packet_sizes=(64, 128, 256, 512),
+                                packets_per_point=packets, trace=True),
+                     cache=cache)
+        warm = run_plan(working, cache=cache)
+        assert warm.cache_hits == len(warm)
+        assert cache.evictions == 0
+
+    def test_traced_request_ignores_traced_entries_of_an_old_cache_file(
+            self, tmp_path):
+        # Cache files written before traced points left the cache hold
+        # traced entries under the traced points' keys.  They must still
+        # load, and a traced request must still get every point's spans.
+        from repro.service import run_scenario
+
+        plan = small_plan(packet_sizes=(64, 256), packets_per_point=30,
+                          trace=True)
+        fresh = run_scenario(plan.to_scenario(), cache=SweepCache())
+        path = tmp_path / "old.cache.json"
+        path.write_text(json.dumps({
+            point.cache_key: {"throughput_bps": point.throughput_bps,
+                              "mean_latency_ns": point.mean_latency_ns,
+                              "trace_jsonl": ""}
+            for point in fresh.result.points}))
+        cache = SweepCache()
+        assert cache.load(str(path)) == len(plan)
+        served = run_scenario(plan.to_scenario(), cache=cache)
+        assert served.response_text() == fresh.response_text()
+        assert served.trace_jsonl.count('"name":"sweep.') >= len(plan)
+
     def test_matches_direct_reference_sweep(self):
         # The runner's numbers are exactly what the seed's serial loop
         # produces point by point -- caching and batching change nothing.
@@ -261,8 +327,9 @@ class TestDeterminism:
         cache = SweepCache()
         cold = run_plan(plan, cache=cache)
         warm = run_plan(plan, cache=cache)
-        assert warm.cache_hits == len(warm)
-        assert warm.merged_trace_jsonl() == cold.merged_trace_jsonl()
+        assert warm.cache_hits == 0         # traced points recompute
+        assert (warm.stitched_trace_jsonl(trace_id="t")
+                == cold.stitched_trace_jsonl(trace_id="t"))
 
     def test_each_traced_point_carries_its_own_chain_spans(self):
         # Guards the trace_of key component: a traced point must never
@@ -275,7 +342,8 @@ class TestDeterminism:
             chain = app.datapath(
                 app.tailored_shell(device_by_name(point.point.device)),
                 point.point.with_harmonia)
-            assert chain.name in point.trace_jsonl
+            assert any(chain.name in record["name"]
+                       for record in point.spans)
 
 
 class TestFastPathAgainstReference:
@@ -339,8 +407,9 @@ class TestEngineTiers:
         vector = run_plan(plan, use_cache=False, engine="vector")
         des = run_plan(plan, use_cache=False, engine="des")
         assert vector.to_json() == des.to_json()
-        assert vector.merged_trace_jsonl() == des.merged_trace_jsonl()
-        assert vector.merged_trace_jsonl()  # non-trivial comparison
+        assert (vector.stitched_trace_jsonl(trace_id="t")
+                == des.stitched_trace_jsonl(trace_id="t"))
+        assert vector.stitched_trace_jsonl(trace_id="t")  # non-trivial
 
     def test_engine_is_not_part_of_the_cache_key(self):
         cache = SweepCache()
