@@ -8,6 +8,12 @@ Times a fixed Fig-17-style sweep three ways:
 * ``traced`` -- tracing on (per-point spans plus the first packets of
   each point traced stage by stage).
 
+The quiet-context gate compares two costs a few percent apart, so
+plain and quiet sweeps alternate ``QUIET_REPEATS`` times each and the
+gate reads the best of each: back-to-back blocks of a few repeats let
+machine state that drifts between the blocks pass for overhead, or
+hide it.
+
 Results land in ``BENCH_runtime.json`` at the repository root so later
 PRs can track the trajectory; ``repro.cli report`` folds the file into
 the reproduction report when present.
@@ -33,6 +39,8 @@ DEVICE = "device-a"
 PACKET_SIZES = (64, 128, 256, 512, 1024)
 PACKETS_PER_POINT = 2_000
 REPEATS = 5
+#: Alternating plain/quiet pairs behind the quiet-context gate.
+QUIET_REPEATS = 30
 
 
 def best_of(workload, repeats: int = REPEATS) -> float:
@@ -54,36 +62,33 @@ def _app():
     return next(app for app in all_applications() if app.name == APP_NAME)
 
 
-def _time_sweep(context_factory):
-    """Best-of-``REPEATS`` wall time for one full sweep, in seconds."""
+def _sweep_seconds(context) -> float:
+    """Wall time of one full sweep under ``context``, in seconds."""
     app, device = _app(), device_by_name(DEVICE)
-    best = float("inf")
-    for _ in range(REPEATS):
-        context = context_factory()
-        start = time.perf_counter()
-        app.measure(device, packet_sizes=PACKET_SIZES,
-                    packets_per_point=PACKETS_PER_POINT, context=context)
-        best = min(best, time.perf_counter() - start)
-    return best
+    start = time.perf_counter()
+    app.measure(device, packet_sizes=PACKET_SIZES,
+                packets_per_point=PACKETS_PER_POINT, context=context)
+    return time.perf_counter() - start
 
 
 def run() -> dict:
     # One throwaway sweep so imports/caches warm up outside the window.
     _app().measure(device_by_name(DEVICE), packet_sizes=(64,),
                    packets_per_point=200)
-    plain = _time_sweep(lambda: None)
-    quiet = _time_sweep(lambda: SimContext(name="smoke", trace=False))
-    traced_context = {}
-
-    def _traced():
-        traced_context["ctx"] = SimContext(name="smoke", trace=True)
-        return traced_context["ctx"]
-
-    traced = _time_sweep(_traced)
-    trace = traced_context["ctx"].trace
+    plain = quiet = float("inf")
+    for _ in range(QUIET_REPEATS):
+        plain = min(plain, _sweep_seconds(None))
+        quiet = min(quiet, _sweep_seconds(SimContext(name="smoke",
+                                                     trace=False)))
+    traced = float("inf")
+    for _ in range(REPEATS):
+        context = SimContext(name="smoke", trace=True)
+        traced = min(traced, _sweep_seconds(context))
+    trace = context.trace
     return {
         "workload": f"{APP_NAME}@{DEVICE} x{len(PACKET_SIZES)} sizes "
                     f"x{PACKETS_PER_POINT} packets",
+        "quiet_repeats": QUIET_REPEATS,
         "plain_sweep_s": round(plain, 6),
         "context_sweep_s": round(quiet, 6),
         "traced_sweep_s": round(traced, 6),

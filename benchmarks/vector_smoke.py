@@ -20,14 +20,20 @@ packet sizes, and every timed row must agree too.  Results land in
 ``BENCH_vector.json`` at the repository root; ``repro.cli report``
 folds the file into the reproduction report.  The script exits
 non-zero when any equality check fails, when the one-row kernel is
-< 35x faster than the oracle loop, or when the fused group is < 250x
-faster per packet than the oracle.
+< 35x faster than the oracle loop, when the fused group is < 250x
+faster per packet than the oracle, or when a warm fused group takes
+more than 32 minor page faults (``fused_minflt_per_call``, counted
+for the calling thread with ``getrusage(RUSAGE_THREAD)``): the kernel
+reuses one workspace, so a repeated group should map no fresh pages.
+Where the platform has no ``RUSAGE_THREAD`` the fault gate is skipped
+and says so.
 
 Run directly: ``PYTHONPATH=src python benchmarks/vector_smoke.py``
 """
 
 import json
 import pathlib
+import resource
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -55,6 +61,11 @@ FUSED_APP_NAME = "layer4-lb"
 FUSED_SIZES = (64, 65, 576, 1_500, 2_048, 4_573, 7_000, 9_000)
 FUSED_PACKETS = 18_003
 FUSED_SPEEDUP_BUDGET = 250.0
+#: Warm fused groups whose minor page faults are counted.
+FAULT_REPEATS = 10
+#: Minor page faults a warm fused group may take: the kernel reuses its
+#: buffers, so only stray small allocations may fault.
+FAULT_BUDGET = 32
 
 
 def _chain(app_name: str = APP_NAME):
@@ -129,7 +140,23 @@ def run_fused() -> dict:
         "fused_oracle_s": round(oracle_s, 6),
         "fused_vector_s": round(vector_s, 6),
         "fused_speedup": round(oracle_s / vector_s, 3),
+        "fused_minflt_per_call": fused_minflt_per_call(chain),
     }
+
+
+def fused_minflt_per_call(chain):
+    """Minor page faults of one warm fused group, on this thread.
+
+    ``None`` where the platform cannot count one thread's faults.
+    """
+    who = getattr(resource, "RUSAGE_THREAD", None)
+    if who is None:
+        return None
+    run_packet_sweep_vector_batch(chain, FUSED_SIZES, FUSED_PACKETS)
+    before = resource.getrusage(who).ru_minflt
+    for _ in range(FAULT_REPEATS):
+        run_packet_sweep_vector_batch(chain, FUSED_SIZES, FUSED_PACKETS)
+    return (resource.getrusage(who).ru_minflt - before) / FAULT_REPEATS
 
 
 def main() -> int:
@@ -149,6 +176,13 @@ def main() -> int:
               f"{baseline['fused_speedup']:.2f}x faster per packet than the "
               f"oracle loop (budget {FUSED_SPEEDUP_BUDGET:.0f}x)",
               file=sys.stderr)
+        failed = True
+    faults = baseline["fused_minflt_per_call"]
+    if faults is None:
+        print("fault gate skipped: this platform has no RUSAGE_THREAD")
+    elif faults > FAULT_BUDGET:
+        print(f"FAIL: a warm fused group took {faults:.1f} minor page "
+              f"faults (budget {FAULT_BUDGET})", file=sys.stderr)
         failed = True
     return 1 if failed else 0
 

@@ -341,6 +341,7 @@ def run_packet_sweep(
                    else 0)
     per_txn = traced_head if use_vector else packet_count
     latencies: List[int] = []
+    tail_latencies = None
     first_completion = None
     last_completion = 0
     for index in range(per_txn):
@@ -360,7 +361,7 @@ def run_packet_sweep(
         indices = np.arange(per_txn, packet_count, dtype=np.float64)
         arrivals = np.rint(indices * gap_ps).astype(np.int64)
         timing = simulate_trains(chain, arrivals[None, :], packet_size_bytes)
-        latencies.extend(timing.latencies_ps[0].tolist())
+        tail_latencies = timing.latencies_ps[0]
         if first_completion is None:
             first_completion = int(timing.completed_ps[0, 0])
         last_completion = int(timing.completed_ps[0, -1])
@@ -369,9 +370,16 @@ def run_packet_sweep(
     # packet train.
     duration_ps = max(last_completion - (first_completion or 0), 1)
     throughput_bps = (packet_count - 1) * packet_size_bytes * 8 / (duration_ps / 1e12)
-    mean_latency_ns = sum(latencies) / packet_count / 1_000
+    total_latency_ps = sum(latencies)
     ns = context.metrics.namespace(f"sweep.{chain.name}.{packet_size_bytes}B")
-    ns.histogram("latency_ps").extend(latencies)
+    histogram = ns.histogram("latency_ps")
+    histogram.extend(latencies)
+    if tail_latencies is not None:
+        # The kernel's int64 row stays one array, summed in int64 like
+        # the batch kernel's rows.
+        total_latency_ps += int(tail_latencies.sum())
+        histogram.extend(tail_latencies)
+    mean_latency_ns = total_latency_ps / packet_count / 1_000
     ns.set_gauge("throughput_gbps", throughput_bps / 1e9)
     ns.set_gauge("mean_latency_ns", mean_latency_ns)
     context.trace.end(point_span, ts_ps=last_completion)

@@ -1,8 +1,14 @@
 """Unit and property tests for the measurement instrumentation."""
 
+import json
+import math
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.runtime.metrics import MetricsRegistry
 from repro.sim.stats import Counter, LatencyStats, MonitorSnapshot, ThroughputMeter
 
 
@@ -123,6 +129,141 @@ class TestLatencyStats:
         values = [stats.percentile_ps(f) for f in fractions]
         assert values == sorted(values)
         assert values[-1] == stats.max_ps
+
+
+class ListStats:
+    """The list-of-ints latency store :class:`LatencyStats` must match."""
+
+    def __init__(self):
+        self.samples = []
+
+    def add(self, sample):
+        self.samples.append(sample)
+
+    def extend(self, samples):
+        self.samples.extend(int(sample) for sample in samples)
+
+    def merge(self, other):
+        self.samples.extend(other.samples)
+
+    def reset(self):
+        self.samples = []
+
+    def leaf(self):
+        """What :meth:`MetricsRegistry.snapshot` prints for this histogram."""
+        if not self.samples:
+            return {"count": 0}
+        ordered = sorted(self.samples)
+
+        def rank(fraction):
+            return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
+
+        return {
+            "count": len(ordered),
+            "mean_ps": sum(ordered) / len(ordered),
+            "min_ps": ordered[0],
+            "max_ps": ordered[-1],
+            "p50_ps": rank(0.50),
+            "p99_ps": rank(0.99),
+        }
+
+
+def leaf_json(stats):
+    return json.dumps(MetricsRegistry._leaf(stats), sort_keys=True)
+
+
+def reference_json(reference):
+    return json.dumps(reference.leaf(), sort_keys=True)
+
+
+class TestLatencyStatsArrays:
+    """The int64-array store against the list-of-ints reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_operations_match_the_list_reference(self, seed):
+        rng = random.Random(seed)
+        stats, reference = LatencyStats(), ListStats()
+        for _ in range(300):
+            op = rng.random()
+            if op < 0.45:
+                sample = rng.randrange(10 ** rng.randint(1, 15))
+                stats.add(sample)
+                reference.add(sample)
+            elif op < 0.75:
+                samples = [rng.randrange(10 ** 12)
+                           for _ in range(rng.randint(0, 3_000))]
+                stats.extend(samples if rng.random() < 0.5
+                             else np.asarray(samples, dtype=np.int64))
+                reference.extend(samples)
+            elif op < 0.9:
+                other, other_reference = LatencyStats(), ListStats()
+                for _ in range(rng.randint(0, 1_500)):
+                    sample = rng.randrange(10 ** 9)
+                    other.add(sample)
+                    other_reference.add(sample)
+                if other.count and rng.random() < 0.5:
+                    # Moves other's samples into its sorted store.
+                    other.percentile_ps(0.5)
+                stats.merge(other)
+                reference.merge(other_reference)
+            elif op < 0.93:
+                stats.reset()
+                reference.reset()
+            # Interleave reads, so the sorted cache is built, merged
+            # into, and invalidated along the way.
+            if rng.random() < 0.3:
+                assert leaf_json(stats) == reference_json(reference)
+        assert leaf_json(stats) == reference_json(reference)
+
+    def test_negative_sample_in_an_array_changes_nothing(self):
+        stats = LatencyStats()
+        stats.extend([40, 10, 30])
+        before = leaf_json(stats)
+        with pytest.raises(ValueError):
+            stats.extend(np.asarray([5, -1, 7], dtype=np.int64))
+        assert leaf_json(stats) == before
+        assert stats.count == 3
+
+    def test_empty_array_is_a_noop(self):
+        stats = LatencyStats()
+        stats.extend(np.empty(0, dtype=np.int64))
+        assert stats.count == 0
+        stats.add(12)
+        before = leaf_json(stats)
+        stats.extend(np.empty(0, dtype=np.int64))
+        assert leaf_json(stats) == before
+
+    def test_snapshot_leaves_are_plain_numbers(self):
+        stats = LatencyStats()
+        stats.extend(np.arange(1, 5_000, dtype=np.int64))
+        stats.add(7)
+        leaf = MetricsRegistry._leaf(stats)
+        assert {type(value) for value in leaf.values()} <= {int, float}
+        assert type(leaf["mean_ps"]) is float
+        json.dumps(leaf)
+
+    def test_long_running_histogram_stays_int64_arrays(self):
+        """A daemon's per-request histogram after 500k observations.
+
+        ``serve.request.wall_ps`` gets one ``observe`` per request for
+        the daemon's whole life; its snapshot must equal the list
+        reference byte for byte while its samples stay int64 arrays.
+        """
+        rng = random.Random(7)
+        registry, reference = MetricsRegistry(), ListStats()
+        for _ in range(500_000):
+            sample = rng.randrange(10 ** 8, 10 ** 10)
+            registry.observe("serve.request.wall_ps", sample)
+            reference.add(sample)
+        expected = json.dumps(
+            {"serve": {"request": {"wall_ps": reference.leaf()}}},
+            sort_keys=True)
+        assert json.dumps(registry.snapshot(), sort_keys=True) == expected
+        histogram = registry.histogram("serve.request.wall_ps")
+        assert histogram._pending == [] and histogram._chunks == []
+        assert isinstance(histogram._sorted, np.ndarray)
+        assert histogram._sorted.dtype == np.int64
+        assert histogram._sorted.size == 500_000
 
 
 class TestThroughputMeter:
