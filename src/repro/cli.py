@@ -14,8 +14,9 @@ Gives operators the day-to-day views the library computes:
 * ``metrics DEVICE --app APP`` -- the same sweep's hierarchical
   metrics snapshot as JSON (or Prometheus text exposition with
   ``--format prometheus``);
-* ``profile`` -- run a representative sweep + fleet workload under the
-  wall-clock self-profiler and print the top-N phase table;
+* ``profile`` -- run a representative sweep + fleet workload with its
+  wall-clock phases recorded as spans and print the top-N phase table
+  (the :meth:`repro.obs.analyze.TraceAnalysis.flame` fold);
 * ``sweep --apps ... --devices ...`` -- run an (apps x devices x
   packet-sizes) sweep through the cached
   :class:`repro.runtime.sweep.SweepRunner` (``--engine`` picks the
@@ -321,32 +322,38 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.analysis.tables import format_table as _format
-    from repro.obs.profiler import SelfProfiler
-    from repro.runtime import FleetSpec, SimContext, SweepPlan, run_fleet, run_plan
+    import time
 
-    profiler = SelfProfiler()
-    with profiler:
-        with profiler.phase("workload.sweep"):
+    from repro.analysis.tables import format_table as _format
+    from repro.obs.analyze import TraceAnalysis
+    from repro.obs.profiler import phase, recording
+    from repro.runtime import FleetSpec, SimContext, SweepPlan, run_fleet, run_plan
+    from repro.runtime.trace import TraceBus
+
+    phases = TraceBus(clock_ps=lambda: time.perf_counter_ns() * 1_000,
+                      enabled=True)
+    with recording(phases):
+        with phase("workload.sweep"):
             run_plan(
                 SweepPlan(apps=(args.app,), devices=(args.device,),
                           packets_per_point=args.packets),
                 use_cache=False,
             )
-        with profiler.phase("workload.fleet"):
+        with phase("workload.fleet"):
             run_fleet(
                 FleetSpec(flow_count=args.flows, device_count=256),
                 context=SimContext(name="profile"),
             )
+    analysis = TraceAnalysis(phases.records)
     rows = [
-        (stats.name, stats.calls,
-         f"{stats.cumulative_s * 1e3:.2f}", f"{stats.self_s * 1e3:.2f}")
-        for stats in profiler.table(args.top)
+        (name, calls, f"{total_ps / 1e9:.2f}", f"{self_ps / 1e9:.2f}")
+        for name, calls, total_ps, self_ps in analysis.flame(max(args.top, 0))
     ]
+    profiled_ps = sum(root.duration_ps for root in analysis.roots)
     print(_format(
         ["phase", "calls", "cumulative ms", "self ms"], rows,
         title=f"Self-profile: top {len(rows)} phases, "
-              f"{profiler.total_s * 1e3:.2f} ms profiled",
+              f"{profiled_ps / 1e9:.2f} ms profiled",
     ))
     return 0
 
@@ -816,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--flows", type=int, default=100_000,
                          help="flows for the fleet workload (default 100,000)")
     profile.add_argument("--top", type=int, default=10,
-                         help="show the top-N phases by cumulative time")
+                         help="show the top-N phases by self time")
 
     sweep = commands.add_parser(
         "sweep", help="run an (apps x devices x sizes) sweep")

@@ -11,8 +11,9 @@ monitoring half the paper dedicates in every RBB's reusable logic
   :class:`~repro.runtime.metrics.MetricsRegistry`;
 * :mod:`repro.obs.recorder` -- the streaming flight recorder (bounded
   ring buffer + JSONL sink, O(1) memory for fleet-scale traces);
-* :mod:`repro.obs.profiler` -- wall-clock self-profiling of the
-  simulator's own hot phases (strictly separate from sim-time);
+* :mod:`repro.obs.profiler` -- wall-clock phase spans around the
+  simulator's own hot regions, recorded into a per-request or
+  per-thread sink (strictly separate from sim-time);
 * :mod:`repro.obs.slo` -- declarative SLO specs evaluated against the
   metrics registry, with violations emitted as trace instants;
 * :mod:`repro.obs.tracectx` -- request-scoped trace contexts and the
@@ -44,10 +45,8 @@ _EXPORTS = {
     # recorder
     "FlightRecorder": "repro.obs.recorder",
     # profiler
-    "SelfProfiler": "repro.obs.profiler",
-    "PhaseStats": "repro.obs.profiler",
-    "active_profiler": "repro.obs.profiler",
     "phase": "repro.obs.profiler",
+    "recording": "repro.obs.profiler",
     # tracectx
     "TraceContext": "repro.obs.tracectx",
     "sanitise_trace_id": "repro.obs.tracectx",

@@ -169,15 +169,30 @@ class TraceAnalysis:
 
     def flame(self, top: Optional[int] = None
               ) -> List[Tuple[str, int, int, int]]:
-        """(name, calls, total_ps, self_ps) rows, self-time descending."""
+        """(name, calls, total_ps, self_ps) rows, self-time descending.
+
+        A span nested inside a span of the same name adds its call and
+        self time but not its duration: only the outermost activation
+        counts towards ``total_ps``, so no name exceeds wall time.
+        """
         folded: Dict[str, List[int]] = {}
-        for node in self.nodes.values():
-            if node.kind == "instant":
+        # Depth-first with the names open on the current root path.
+        stack = [(root, False) for root in reversed(self.roots)]
+        open_names: Dict[str, int] = {}
+        while stack:
+            node, leaving = stack.pop()
+            if leaving:
+                open_names[node.name] -= 1
                 continue
-            row = folded.setdefault(node.name, [0, 0, 0])
-            row[0] += 1
-            row[1] += node.duration_ps
-            row[2] += node.self_ps
+            if node.kind != "instant":
+                row = folded.setdefault(node.name, [0, 0, 0])
+                row[0] += 1
+                if not open_names.get(node.name):
+                    row[1] += node.duration_ps
+                row[2] += node.self_ps
+            open_names[node.name] = open_names.get(node.name, 0) + 1
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
         rows = sorted(
             ((name, calls, total, self_ps)
              for name, (calls, total, self_ps) in folded.items()),

@@ -1,195 +1,67 @@
-"""Wall-clock self-profiler for the simulator's own hot phases.
+"""Wall-clock phases: named spans around the simulator's own hot regions.
 
 Sim-time (integer picoseconds on the :class:`~repro.sim.engine.Simulator`
 clock) tells you what the *modelled hardware* did; it says nothing about
-where the *simulator process* spends its wall-clock.  This module is the
-second ledger: named phase timers around the stack's hot regions --
-the engine dispatch loop, the vector kernel, sweep point execution,
-fleet policy evaluation, the build farm's planning and per-step
-execution (``buildfarm.plan`` / ``buildfarm.build`` /
-``buildfarm.step``) -- aggregated into a cumulative/self-time table
-(``python -m repro.cli profile``).
+where the *simulator process* spends its wall-clock.  Phases answer
+that: named spans around the stack's hot regions -- the engine dispatch
+loop, the vector kernel, sweep planning, probing, fused execution and
+merging, scenario parsing and hashing, response serialisation, fleet
+policy evaluation, the build farm's planning and per-step execution.
 
-The two ledgers never mix: the profiler reads ``time.perf_counter``
-only, touches no simulation clock, and emits nothing onto the trace
-bus.
-
-Instrumentation sites call :func:`phase`::
+Instrumentation sites open a phase in a ``with`` statement::
 
     from repro.obs.profiler import phase
 
     with phase("engine.run"):
         ...hot loop...
 
-With no profiler active, :func:`phase` returns a shared no-op context
-manager -- the disabled cost is one module-global read per call, which
-is why the hook sits at phase granularity (one ``run()``, one policy,
-one train) and never inside per-event loops.
+A phase is one begin/end span on the *sink* of the current thread or
+asyncio task, held in a :class:`contextvars.ContextVar`.  A sink is
+anything with ``begin(name)`` returning a context manager that ends the
+span -- an enabled, wall-clocked :class:`~repro.runtime.trace.TraceBus`
+is the one in use.  ``repro.cli profile`` records into one and folds it
+with :meth:`repro.obs.analyze.TraceAnalysis.flame`; the serving daemon
+gives every request its own and replays it into the ``/trace`` ring.
+Phases never touch a simulation clock and never enter a
+:class:`~repro.runtime.context.SimContext`'s bus.
+
+With no sink set, :func:`phase` returns a shared no-op context manager
+-- the disabled cost is one context-variable read per call, which is
+why hooks sit at phase granularity (one ``run()``, one policy, one
+train) and never inside per-event loops.
 
 This module imports only the standard library.  Hot paths deep in
 :mod:`repro.sim` import it, so any dependency on :mod:`repro.runtime`
 here would close an import cycle.
 """
 
-import time
-from typing import Callable, Dict, List, Optional
+import contextlib
+from contextvars import ContextVar
+from typing import Any, Iterator, Optional
 
+_NULL_PHASE = contextlib.nullcontext()
 
-class PhaseStats:
-    """Aggregate wall-clock numbers for one phase name."""
-
-    __slots__ = ("name", "calls", "cumulative_s", "self_s")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.calls = 0
-        self.cumulative_s = 0.0
-        self.self_s = 0.0
-
-    def __repr__(self) -> str:
-        return (f"PhaseStats({self.name!r}, calls={self.calls}, "
-                f"cum={self.cumulative_s:.6f}s, self={self.self_s:.6f}s)")
-
-
-class _Phase:
-    """One live phase activation (context manager)."""
-
-    __slots__ = ("_profiler", "_name", "_start", "_child_s")
-
-    def __init__(self, profiler: "SelfProfiler", name: str) -> None:
-        self._profiler = profiler
-        self._name = name
-        self._child_s = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "_Phase":
-        self._profiler._stack.append(self)
-        self._start = self._profiler._clock()
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        self._profiler._finish(self, self._profiler._clock() - self._start)
-
-
-class _NullPhase:
-    """Shared no-op phase used while no profiler is active."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullPhase":
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        return None
-
-
-_NULL_PHASE = _NullPhase()
-
-#: The process-wide active profiler, if any (see :meth:`SelfProfiler.activate`).
-_ACTIVE: Optional["SelfProfiler"] = None
-
-
-class SelfProfiler:
-    """Aggregates nested wall-clock phases into per-name statistics.
-
-    * **cumulative** time counts a phase's full wall-clock, children
-      included; recursive re-entry of the same name is not double
-      counted (only the outermost activation contributes).
-    * **self** time is cumulative minus the time spent in child phases,
-      so the self-time column sums to total profiled wall-clock.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self._clock = clock
-        self._stats: Dict[str, PhaseStats] = {}
-        self._stack: List[_Phase] = []
-
-    # --- recording ----------------------------------------------------------
-
-    def phase(self, name: str) -> _Phase:
-        """A context manager timing one activation of ``name``."""
-        return _Phase(self, name)
-
-    def _finish(self, frame: _Phase, elapsed_s: float) -> None:
-        stack = self._stack
-        if not stack or stack[-1] is not frame:
-            raise RuntimeError(
-                f"profiler phase {frame._name!r} exited out of order"
-            )
-        stack.pop()
-        name = frame._name
-        stats = self._stats.get(name)
-        if stats is None:
-            stats = self._stats[name] = PhaseStats(name)
-        stats.calls += 1
-        stats.self_s += elapsed_s - frame._child_s
-        recursive = any(outer._name == name for outer in stack)
-        if not recursive:
-            stats.cumulative_s += elapsed_s
-        if stack:
-            stack[-1]._child_s += elapsed_s
-
-    # --- activation ---------------------------------------------------------
-
-    def activate(self) -> "SelfProfiler":
-        """Install this profiler as the process-wide :func:`phase` target."""
-        global _ACTIVE
-        if _ACTIVE is not None and _ACTIVE is not self:
-            raise RuntimeError("another SelfProfiler is already active")
-        _ACTIVE = self
-        return self
-
-    def deactivate(self) -> None:
-        global _ACTIVE
-        if _ACTIVE is self:
-            _ACTIVE = None
-
-    def __enter__(self) -> "SelfProfiler":
-        return self.activate()
-
-    def __exit__(self, *_exc: object) -> None:
-        self.deactivate()
-
-    # --- reporting ----------------------------------------------------------
-
-    def stats(self, name: str) -> Optional[PhaseStats]:
-        return self._stats.get(name)
-
-    @property
-    def total_s(self) -> float:
-        """Total profiled wall-clock (the sum of every self-time)."""
-        return sum(stats.self_s for stats in self._stats.values())
-
-    def table(self, top: int = 10) -> List[PhaseStats]:
-        """The ``top`` phases by cumulative time (ties break by name)."""
-        ranked = sorted(self._stats.values(),
-                        key=lambda stats: (-stats.cumulative_s, stats.name))
-        return ranked[: top if top > 0 else None]
-
-    def to_json(self) -> Dict[str, Dict[str, float]]:
-        return {
-            name: {
-                "calls": stats.calls,
-                "cumulative_s": stats.cumulative_s,
-                "self_s": stats.self_s,
-            }
-            for name, stats in sorted(self._stats.items())
-        }
-
-    def reset(self) -> None:
-        if self._stack:
-            raise RuntimeError("cannot reset a profiler with open phases")
-        self._stats.clear()
-
-
-def active_profiler() -> Optional[SelfProfiler]:
-    """The profiler :func:`phase` currently reports to, if any."""
-    return _ACTIVE
+_SINK: ContextVar = ContextVar("repro_phase_sink", default=None)
 
 
 def phase(name: str):
-    """Time ``name`` against the active profiler (no-op when none)."""
-    profiler = _ACTIVE
-    if profiler is None:
+    """Span ``name`` on the current sink (the shared no-op when none)."""
+    sink = _SINK.get()
+    if sink is None:
         return _NULL_PHASE
-    return profiler.phase(name)
+    return sink.begin(name)
+
+
+@contextlib.contextmanager
+def recording(sink: Optional[Any]) -> Iterator[Optional[Any]]:
+    """Send this thread's (or task's) phases to ``sink`` inside the block.
+
+    ``None`` turns recording off inside the block.  On exit the previous
+    sink is back, so a thread-pool worker never carries one request's
+    sink into the next.
+    """
+    token = _SINK.set(sink)
+    try:
+        yield sink
+    finally:
+        _SINK.reset(token)

@@ -719,30 +719,32 @@ class SweepRunner:
         self.engine = engine
 
     def run(self) -> SweepResult:
-        points = self.plan.expand()
-        if self.engine != "auto":
-            points = [dataclasses.replace(point, engine=self.engine)
-                      for point in points]
-        # Chains and their signatures are resolved through the
-        # process-wide memo: built once per (app, device, variant), which
-        # is cheap relative to a point's simulation and exactly what the
-        # content key needs.  Execution reuses them too (every point
-        # resets the chain, so reuse is deterministic).  sweep_cache_key
-        # reuses a signature's encoding while consecutive points hand it
-        # the same tuple.
-        keys: List[str] = []
-        for point in points:
-            chain, signature = _signed_chain(point)
-            keys.append(sweep_cache_key(
-                signature, point.packet_size_bytes, point.packet_count,
-                trace_of=chain.name if point.trace else None,
-            ))
+        with _profile_phase("sweep.plan"):
+            points = self.plan.expand()
+            if self.engine != "auto":
+                points = [dataclasses.replace(point, engine=self.engine)
+                          for point in points]
+            # Chains and their signatures are resolved through the
+            # process-wide memo: built once per (app, device, variant),
+            # which is cheap relative to a point's simulation and exactly
+            # what the content key needs.  Execution reuses them too
+            # (every point resets the chain, so reuse is deterministic).
+            # sweep_cache_key reuses a signature's encoding while
+            # consecutive points hand it the same tuple.
+            keys: List[str] = []
+            for point in points:
+                chain, signature = _signed_chain(point)
+                keys.append(sweep_cache_key(
+                    signature, point.packet_size_bytes, point.packet_count,
+                    trace_of=chain.name if point.trace else None,
+                ))
 
         entries: List[Optional[Dict[str, Any]]]
         use_cache = self.use_cache and not self.plan.trace
         if use_cache:
             # One lock acquisition for the whole plan's probe.
-            entries = self.cache.lookup_many(keys)
+            with _profile_phase("sweep.cache_probe"):
+                entries = self.cache.lookup_many(keys)
         else:
             entries = [None] * len(points)
         pending = [index for index, entry in enumerate(entries)
@@ -778,18 +780,20 @@ class SweepRunner:
                 self.cache.store_many(
                     (keys[index], entries[index]) for index in executed)
 
-        pending_set = set(pending)
-        results = [
-            PointResult(
-                point=point,
-                throughput_bps=entry["throughput_bps"],
-                mean_latency_ns=entry["mean_latency_ns"],
-                cache_key=key,
-                cached=index not in pending_set,
-                spans=entry["spans"] if point.trace else (),
-            )
-            for index, (point, key, entry) in enumerate(zip(points, keys, entries))
-        ]
+        with _profile_phase("sweep.merge"):
+            pending_set = set(pending)
+            results = [
+                PointResult(
+                    point=point,
+                    throughput_bps=entry["throughput_bps"],
+                    mean_latency_ns=entry["mean_latency_ns"],
+                    cache_key=key,
+                    cached=index not in pending_set,
+                    spans=entry["spans"] if point.trace else (),
+                )
+                for index, (point, key, entry)
+                in enumerate(zip(points, keys, entries))
+            ]
         return SweepResult(self.plan, results,
                            fused_points=fused_points,
                            fused_groups=fused_groups,

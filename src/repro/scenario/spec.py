@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.obs.profiler import phase
 from repro.sim.vector import ENGINES
 
 #: Bump when the serialised layout changes incompatibly.
@@ -524,11 +525,18 @@ class Scenario:
         to exact equality, so the engine choice changes how a scenario
         runs, never what it computes -- like ``SweepPoint.engine``, it
         stays out of every content key (see ``docs/performance.md``).
+        Computed once per object.
         """
-        payload = self.to_json()
-        del payload["engine"]
-        return hashlib.sha256(
-            canonical_dumps(payload).encode("utf-8")).hexdigest()
+        scenario_id = self.__dict__.get("_scenario_id")
+        if scenario_id is None:
+            with phase("scenario.id"):
+                payload = self.to_json()
+                del payload["engine"]
+                scenario_id = hashlib.sha256(
+                    canonical_dumps(payload).encode("utf-8")).hexdigest()
+            # Frozen and built from immutable parts: the id never changes.
+            object.__setattr__(self, "_scenario_id", scenario_id)
+        return scenario_id
 
     _FIELDS = ("version", "kind", "apps", "devices", "engine", "seed",
                "year", "workload", "tenancy", "build", "epochs")
@@ -541,39 +549,43 @@ class Scenario:
         unknown app/device/engine names all raise
         :class:`ConfigurationError` naming the valid alternatives.
         """
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"a scenario must be a JSON object, got {type(data).__name__}")
-        _reject_unknown_keys(data, cls._FIELDS, "scenario")
-        if "kind" not in data:
-            raise ConfigurationError(
-                f"scenario is missing 'kind'; known kinds: "
-                f"{', '.join(SCENARIO_KINDS)}"
-            )
-        kwargs: Dict[str, Any] = {"kind": _expect_str(data["kind"], "kind")}
-        if "version" in data:
-            kwargs["version"] = _expect_int(data["version"], "version")
-        if "apps" in data:
-            kwargs["apps"] = _expect_str_tuple(data["apps"], "apps")
-        if "devices" in data:
-            kwargs["devices"] = _expect_str_tuple(data["devices"], "devices")
-        if "engine" in data:
-            kwargs["engine"] = _expect_str(data["engine"], "engine")
-        if "seed" in data:
-            kwargs["seed"] = _expect_int(data["seed"], "seed")
-        if "year" in data:
-            kwargs["year"] = _expect_int(data["year"], "year")
-        if "workload" in data:
-            kwargs["workload"] = WorkloadSpec.from_json(data["workload"])
-        if "tenancy" in data:
-            kwargs["tenancy"] = TenancySpec.from_json(data["tenancy"])
-        if "build" in data:
-            kwargs["build"] = BuildSpec.from_json(data["build"])
-        if "epochs" in data and data["epochs"] is not None:
-            kwargs["epochs"] = EpochsSpec.from_json(data["epochs"])
-        scenario = cls(**kwargs)
-        scenario.validate_names()
-        return scenario
+        with phase("scenario.validate"):
+            if not isinstance(data, Mapping):
+                raise ConfigurationError(
+                    f"a scenario must be a JSON object, got "
+                    f"{type(data).__name__}")
+            _reject_unknown_keys(data, cls._FIELDS, "scenario")
+            if "kind" not in data:
+                raise ConfigurationError(
+                    f"scenario is missing 'kind'; known kinds: "
+                    f"{', '.join(SCENARIO_KINDS)}"
+                )
+            kwargs: Dict[str, Any] = {
+                "kind": _expect_str(data["kind"], "kind")}
+            if "version" in data:
+                kwargs["version"] = _expect_int(data["version"], "version")
+            if "apps" in data:
+                kwargs["apps"] = _expect_str_tuple(data["apps"], "apps")
+            if "devices" in data:
+                kwargs["devices"] = _expect_str_tuple(data["devices"],
+                                                      "devices")
+            if "engine" in data:
+                kwargs["engine"] = _expect_str(data["engine"], "engine")
+            if "seed" in data:
+                kwargs["seed"] = _expect_int(data["seed"], "seed")
+            if "year" in data:
+                kwargs["year"] = _expect_int(data["year"], "year")
+            if "workload" in data:
+                kwargs["workload"] = WorkloadSpec.from_json(data["workload"])
+            if "tenancy" in data:
+                kwargs["tenancy"] = TenancySpec.from_json(data["tenancy"])
+            if "build" in data:
+                kwargs["build"] = BuildSpec.from_json(data["build"])
+            if "epochs" in data and data["epochs"] is not None:
+                kwargs["epochs"] = EpochsSpec.from_json(data["epochs"])
+            scenario = cls(**kwargs)
+            scenario.validate_names()
+            return scenario
 
     def validate_names(self) -> "Scenario":
         """Check every app/device name against the registries; loud."""

@@ -48,9 +48,10 @@ see :mod:`repro.serve.coalesce` and ``docs/serving.md``.
 Every request is observable three ways (``docs/observability.md``):
 
 * **spans** -- a ``serve.request`` root (plus ``serve.admission`` /
-  ``serve.coalesce`` instants and a ``serve.execute`` child for run
-  leaders) lands in a resident ring :class:`TraceBus`, wall-clocked in
-  picoseconds since daemon start.  Requests carry an id from the
+  ``serve.coalesce`` instants, a ``serve.execute`` child for run
+  leaders, and the request's wall-clock phases from
+  :mod:`repro.obs.profiler`) lands in a resident ring
+  :class:`TraceBus`, wall-clocked in picoseconds since daemon start.  Requests carry an id from the
   ``X-Trace-Id`` header (or ``req-NNNNNNNN``); coalesced followers
   record their leader's trace id, which joins them to the leader's
   execution span.  Spans are emitted atomically at request completion,
@@ -70,10 +71,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.errors import ConfigurationError, HarmoniaError
+from repro.obs.profiler import phase, recording
 from repro.obs.tracectx import TraceContext
 from repro.obs.window import TelemetryHub
 from repro.runtime.buildfarm import ArtifactStore
@@ -359,7 +361,14 @@ class ServingDaemon:
                 raise _HttpError(404, f"unknown endpoint {path!r}")
             if method != "POST":
                 raise _HttpError(405, f"{path} is POST-only")
-            return await self._execute(kind, headers, payload, query, info)
+            # This request's phase sink, on the ring's clock; the ring
+            # switch is the phase switch.
+            phases = info["phases"] = (
+                TraceBus(clock_ps=self._wall_ps, enabled=True)
+                if self.trace.enabled else None)
+            with recording(phases):
+                return await self._execute(kind, headers, payload, query,
+                                           info)
         raise _HttpError(404, f"unknown endpoint {path!r}")
 
     # ------------------------------------------------------------------ #
@@ -472,7 +481,7 @@ class ServingDaemon:
                 400, f"scenario kind {scenario.kind!r} does not match "
                 f"endpoint /v1/{endpoint_kind}; use /v1/run or "
                 f"/v1/{scenario.kind}")
-        info["scenario_id"] = scenario.scenario_id()
+        scenario_id = info["scenario_id"] = scenario.scenario_id()
 
         if not self.admission.check_quota(tenant):
             self.metrics.increment("serve.quota_rejected")
@@ -481,7 +490,7 @@ class ServingDaemon:
                 429, f"tenant {tenant!r} exceeded its "
                 f"{self.admission.quota_rps:g} req/s quota")
 
-        key = (scenario.kind, scenario.scenario_id(), slo)
+        key = (scenario.kind, scenario_id, slo)
         leader, future = self.coalescer.join(key)
         if leader:
             info["coalesce"] = "leader"
@@ -500,13 +509,19 @@ class ServingDaemon:
                     with self._requests_lock:
                         self._leader_traces[key] = trace_ctx.trace_id
 
+                phases = info.get("phases")
+
                 def _work() -> None:
                     try:
-                        outcome = run_scenario(
-                            scenario, cache=self.cache, store=self.store,
-                            slo=slo, trace_context=trace_ctx)
-                        self._record_execution(outcome)
-                        body = outcome.response_text().encode("utf-8")
+                        # The sink is closed before the future resolves,
+                        # so the request reads it only once it is done.
+                        with recording(phases):
+                            outcome = run_scenario(
+                                scenario, cache=self.cache,
+                                store=self.store, slo=slo,
+                                trace_context=trace_ctx)
+                            self._record_execution(outcome)
+                            body = outcome.response_text().encode("utf-8")
                         self.coalescer.resolve(key, future, body)
                     except BaseException as exc:
                         self.coalescer.reject(key, future, exc)
@@ -597,16 +612,45 @@ class ServingDaemon:
                 exec_end = int(
                     (info.get("exec_end", time.monotonic())
                      - self.started_at) * 1e12)
-                self.trace.complete(
+                execute = self.trace.complete(
                     "serve.execute", exec_start, exec_end, parent=root,
                     scenario_id=info.get("scenario_id", ""),
                     trace_id=trace_id)
+            else:
+                exec_start, execute = None, None
+            if info.get("phases") is not None:
+                self._emit_phases(info["phases"].records, root,
+                                  execute, exec_start)
         if self.access_log is not None:
             self.access_log.record(
                 method=info.get("method", "?"), path=path, status=status,
                 tenant=tenant, wall_ms=elapsed_s * 1e3, trace_id=trace_id,
                 scenario_id=info.get("scenario_id"),
                 coalesced=coalesced, shed=shed)
+
+    def _emit_phases(self, records: List[Dict[str, Any]], root: int,
+                     execute: Optional[int],
+                     exec_start: Optional[int]) -> None:
+        """Replay a request's phase sink into the ring as complete spans.
+
+        A phase keeps its parent phase.  A top-level phase that began
+        once execution had started hangs under ``serve.execute``; one
+        before it (parsing, hashing) hangs under ``serve.request``.
+        """
+        ends = {record["id"]: record["ts_ps"]
+                for record in records if record["type"] == "E"}
+        ring_ids: Dict[int, Optional[int]] = {}
+        for record in records:
+            if record["type"] != "B":
+                continue
+            start = record["ts_ps"]
+            parent = ring_ids.get(record.get("parent"))
+            if parent is None:
+                parent = (execute if execute is not None
+                          and start >= exec_start else root)
+            ring_ids[record["id"]] = self.trace.complete(
+                record["name"], start, ends.get(record["id"], start),
+                parent=parent)
 
     def _record_execution(self, outcome: Any) -> None:
         """Fold one execution's planner provenance into the registry.
@@ -650,14 +694,15 @@ class ServingDaemon:
     def _parse_scenario(self, payload: bytes) -> Scenario:
         if not payload:
             raise _HttpError(400, "empty body; POST a Scenario JSON object")
-        try:
-            data = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _HttpError(400, f"body is not valid JSON: {exc}")
-        try:
-            return Scenario.from_json(data)
-        except HarmoniaError as exc:
-            raise _HttpError(400, str(exc))
+        with phase("serve.parse"):
+            try:
+                data = json.loads(payload.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise _HttpError(400, f"body is not valid JSON: {exc}")
+            try:
+                return Scenario.from_json(data)
+            except HarmoniaError as exc:
+                raise _HttpError(400, str(exc))
 
 
 # ---------------------------------------------------------------------- #

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.obs.profiler import phase
 from repro.runtime.context import SimContext
 from repro.scenario import Scenario
 
@@ -121,7 +122,8 @@ class ServiceResult:
         """Canonical JSON text of :meth:`response_json`, newline-terminated."""
         from repro.scenario import canonical_dumps
 
-        return canonical_dumps(self.response_json()) + "\n"
+        with phase("service.serialize"):
+            return canonical_dumps(self.response_json()) + "\n"
 
 
 def _normalise(payload: Any) -> Any:

@@ -222,9 +222,9 @@ class Simulator:
         self._running = True
         processed = 0
         try:
-            # Wall-clock phase for the self-profiler (repro.obs.profiler)
-            # -- a single no-op context when no profiler is active, so
-            # the dispatch loop itself stays untouched.
+            # Wall-clock phase span (repro.obs.profiler) -- a single
+            # no-op context when no phase sink is set, so the dispatch
+            # loop itself stays untouched.
             with _profile_phase("engine.run"):
                 while True:
                     if max_events is not None and processed >= max_events:

@@ -104,6 +104,43 @@ class TestTraceRing:
                          if child.name == "serve.admission")
         assert admission.attrs["outcome"] == "admitted"
 
+    def test_phases_hang_under_the_request_tree(self, handle, client):
+        for trace_id in ("cold", "warm"):
+            response = http_request(
+                handle.host, handle.port, "POST", "/v1/sweep",
+                body=json.dumps(PLAIN.to_json()).encode("utf-8"),
+                headers={"X-Trace-Id": trace_id})
+            assert response.status == 200
+        analysis = _ring(client)
+        roots = {node.attrs.get("trace_id"): node for node in analysis.roots
+                 if node.name == "serve.request"}
+
+        kernel = next(node for node in analysis.nodes.values()
+                      if node.name == "vector.kernel")
+        ancestors = []
+        node = kernel
+        while node.parent_id is not None:
+            node = analysis.nodes[node.parent_id]
+            ancestors.append(node.name)
+        assert ancestors == ["sweep.fused", "serve.execute", "serve.request"]
+        assert node is roots["cold"]
+
+        warm = roots["warm"]
+        execute = next(child for child in warm.children
+                       if child.name == "serve.execute")
+        assert [child.name for child in execute.children] == [
+            "sweep.plan", "sweep.cache_probe", "sweep.merge",
+            "service.serialize"]
+        parse = next(child for child in warm.children
+                     if child.name == "serve.parse")
+        assert [child.name for child in parse.children] == [
+            "scenario.validate"]
+        # The warm hit parses its own body and hashes its own scenario,
+        # but executes no kernel.
+        assert "scenario.id" in {child.name for child in warm.children}
+        assert not any(child.name == "sweep.fused"
+                       for child in execute.children)
+
     def test_header_supplied_trace_id_propagates(self, handle, client):
         response = http_request(
             handle.host, handle.port, "POST", "/v1/sweep",
