@@ -19,6 +19,9 @@ the build when any regresses:
   must run one at a time (``serve.sweep.per_point_points`` grows by one
   per DES request), and every point must run inside the daemon's own
   process: it has no child processes afterwards.
+* **memo hits are the cold bytes** -- a repeat answered by the response
+  memo (``X-Coalesced: memo``) must return exactly the bytes of its
+  cold compute and of the in-process service layer.
 
 Results land in ``BENCH_serve.json`` at the repository root;
 ``repro.cli report`` folds the file into the reproduction report.
@@ -50,6 +53,7 @@ from repro.serve import (  # noqa: E402
     ServeConfig,
     serve_in_thread,
 )
+from repro.service import run_scenario  # noqa: E402
 
 #: The scenario both sides execute for the warm-vs-cold comparison.
 BASE = Scenario(kind="sweep", apps=("sec-gateway",), devices=("device-a",),
@@ -71,6 +75,10 @@ COALESCE = Scenario(kind="sweep", apps=("sec-gateway",),
                     devices=("device-a",), engine="des",
                     workload=WorkloadSpec(packet_sizes=(96,),
                                           packets_per_point=150_000))
+
+#: A scenario no other phase sends, for the memo's byte-identity check.
+MEMO = BASE.replace(workload=WorkloadSpec(packet_sizes=(96, 1500),
+                                          packets_per_point=200))
 
 #: One-point DES-engine sweeps that must each run on the per-point path.
 DES_SIZES = ((80,), (112,))
@@ -193,6 +201,18 @@ def fused_planner_stats(client: ServeClient) -> dict:
     }
 
 
+def memo_check(client: ServeClient) -> dict:
+    """Cold compute, full-path warm repeat, memo hit: one set of bytes."""
+    responses = [client.run_scenario(MEMO, endpoint="sweep")
+                 for _ in range(3)]
+    assert [r.status for r in responses] == [200] * 3, responses
+    solo = run_scenario(MEMO).response_text().encode("utf-8")
+    return {
+        "roles": [r.headers["x-coalesced"] for r in responses],
+        "identical": all(r.body == solo for r in responses),
+    }
+
+
 def run() -> dict:
     import tempfile
 
@@ -205,6 +225,7 @@ def run() -> dict:
 
         warm_request_s = time_warm_daemon(client)
         fused = fused_planner_stats(client)
+        memo = memo_check(client)
         coalesce = coalescing_burst(handle, client)
 
         bodies = [json.dumps(s.to_json()).encode("utf-8")
@@ -229,6 +250,8 @@ def run() -> dict:
         "load": load.to_json(),
         "slo": slo,
         "cache_entries": stats["cache"]["entries"],
+        "memo": memo,
+        "memo_hits": stats["memo"]["hits"],
         "shed": stats["admission"]["shed"],
         "quota_rejections": stats["admission"]["quota_rejections"],
     }
@@ -268,6 +291,12 @@ def main() -> int:
     if fused["child_processes"]:
         print(f"FAIL: the daemon left {fused['child_processes']} child "
               f"processes; every sweep point must run in the daemon process",
+              file=sys.stderr)
+        failed = True
+    memo = baseline["memo"]
+    if memo["roles"] != ["leader", "leader", "memo"] or not memo["identical"]:
+        print(f"FAIL: a memo hit did not return the cold bytes "
+              f"(roles {memo['roles']}, identical {memo['identical']})",
               file=sys.stderr)
         failed = True
     if baseline["slo"]["exit_code"] != 0:

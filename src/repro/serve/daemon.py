@@ -12,7 +12,10 @@ instead:
 * one :class:`~repro.runtime.buildfarm.ArtifactStore` so tailored-shell
   builds resolve from content-addressed artifacts;
 * the process-wide memos (sweep chains, tailoring, resolve) that the
-  runtime already keeps -- now thread-safe -- stay hot across requests.
+  runtime already keeps -- now thread-safe -- stay hot across requests;
+* one byte-bounded :class:`~repro.serve.memo.ResponseMemo` answering a
+  byte-identical repeat of a fully cached sweep with its finished
+  response bytes.
 
 The HTTP surface is deliberately tiny and stdlib-only (asyncio
 ``start_server`` plus a hand-rolled HTTP/1.1 parser): this is an
@@ -24,7 +27,8 @@ Endpoints::
 
     GET  /healthz          liveness + uptime + warm-state summary
     GET  /metrics          Prometheus text exposition of the daemon registry
-    GET  /stats            JSON: registry snapshot, coalescer, admission, cache
+    GET  /stats            JSON: registry snapshot, coalescer, admission,
+                           cache, memo
     GET  /slo              evaluate the serving SLOs against the registry
     GET  /telemetry        sliding-window rates, latencies, SLO burn rates
     GET  /trace            the resident serve-span ring as JSONL
@@ -39,11 +43,14 @@ the scenario's kind via :func:`repro.service.slo_monitor_for`; arbitrary
 spec *files* are CLI-only -- an HTTP query must not name server paths)
 and identify their tenant via the ``X-Tenant`` header.
 
-Request flow: quota check (429) -> coalescer join -- followers attach
-to an in-flight identical run for free -> leaders claim a bounded
-queue slot (503 when full) and execute on a thread pool.  Responses for
-identical scenarios are byte-identical no matter how they were served;
-see :mod:`repro.serve.coalesce` and ``docs/serving.md``.
+Request flow: response memo lookup -- a byte-identical repeat of a
+sweep the result cache answered in full skips parsing and execution ->
+quota check (429) -> memo hit answered, or coalescer join -- followers
+attach to an in-flight identical run for free -> leaders claim a
+bounded queue slot (503 when full) and execute on a thread pool.
+Responses for identical scenarios are byte-identical no matter how they
+were served; see :mod:`repro.serve.memo`, :mod:`repro.serve.coalesce`
+and ``docs/serving.md``.
 
 Every request is observable three ways (``docs/observability.md``):
 
@@ -86,6 +93,7 @@ from repro.scenario import Scenario
 from repro.serve.accesslog import AccessLog
 from repro.serve.admission import AdmissionController
 from repro.serve.coalesce import RequestCoalescer
+from repro.serve.memo import ResponseMemo
 from repro.service import run_scenario, slo_monitor_for
 
 _MAX_REQUEST_LINE = 8_192
@@ -163,6 +171,7 @@ class ServingDaemon:
                 pass  # first boot: the file appears on clean shutdown
         self.store = ArtifactStore(self.config.artifact_dir)
         self.coalescer = RequestCoalescer()
+        self.memo = ResponseMemo()
         self.admission = AdmissionController(
             max_queue=self.config.max_queue,
             quota_rps=self.config.quota_rps,
@@ -260,15 +269,18 @@ class ServingDaemon:
         mono_start = time.monotonic()
         status, body, extra = 500, b"", {}
         info: Dict[str, Any] = {}
+        counted = False
         try:
             method, target, headers, payload = await self._read_request(reader)
             self.metrics.increment("serve.requests")
+            counted = True
             with self._requests_lock:
                 self._requests += 1
             status, body, extra = await self._route(
                 method, target, headers, payload, info)
         except _HttpError as exc:
-            self.metrics.increment("serve.requests")
+            if not counted:   # rejected while reading the request
+                self.metrics.increment("serve.requests")
             status, body = exc.status, _error_body(exc.status, exc.message)
         except (asyncio.IncompleteReadError, ConnectionError):
             writer.close()
@@ -427,6 +439,11 @@ class ServingDaemon:
                 "max_entries": self.cache.max_entries,
                 "evictions": self.cache.evictions,
             },
+            "memo": {
+                "entries": len(self.memo),
+                "bytes": self.memo.bytes,
+                "hits": self.metrics.counter("serve.memo.hits").value,
+            },
             "orchestrator": {
                 "runs": self.metrics.counter(
                     "serve.orchestrator.runs").value,
@@ -475,13 +492,14 @@ class ServingDaemon:
             raise _HttpError(
                 400, "only ?slo=default is accepted over HTTP; file-based "
                 "SLO specs are a CLI feature")
-        scenario = self._parse_scenario(payload)
-        if endpoint_kind != "run" and scenario.kind != endpoint_kind:
-            raise _HttpError(
-                400, f"scenario kind {scenario.kind!r} does not match "
-                f"endpoint /v1/{endpoint_kind}; use /v1/run or "
-                f"/v1/{scenario.kind}")
-        scenario_id = info["scenario_id"] = scenario.scenario_id()
+        memo_key = (endpoint_kind, slo, payload)
+        memoised = self.memo.get(memo_key)
+        if memoised is None:
+            scenario = self._parse_scenario(payload, endpoint_kind)
+            scenario_id = scenario.scenario_id()
+        else:
+            scenario_id = memoised.scenario_id
+        info["scenario_id"] = scenario_id
 
         if not self.admission.check_quota(tenant):
             self.metrics.increment("serve.quota_rejected")
@@ -489,6 +507,18 @@ class ServingDaemon:
             raise _HttpError(
                 429, f"tenant {tenant!r} exceeded its "
                 f"{self.admission.quota_rps:g} req/s quota")
+
+        if memoised is not None:
+            if self.memo.confirm(memo_key, memoised, self.cache):
+                # Nothing executes: no queue slot, no shedding.
+                self.metrics.increment("serve.memo.hits")
+                info["coalesce"] = "memo"
+                info["admission"] = "admitted"
+                return 200, memoised.body, {
+                    "X-Scenario-Id": scenario_id, "X-Coalesced": "memo"}
+            # A point it summarised was evicted: recompute from the
+            # same bytes, which parsed cleanly when they were stored.
+            scenario = self._parse_scenario(payload, endpoint_kind)
 
         key = (scenario.kind, scenario_id, slo)
         leader, future = self.coalescer.join(key)
@@ -522,6 +552,15 @@ class ServingDaemon:
                                 trace_context=trace_ctx)
                             self._record_execution(outcome)
                             body = outcome.response_text().encode("utf-8")
+                        if (outcome.kind == "sweep"
+                                and not scenario.workload.trace
+                                and outcome.executed_points == 0):
+                            # A proven repeat: the result cache answered
+                            # every point, so these bytes are final.
+                            self.memo.store(
+                                memo_key, body, scenario_id,
+                                [point.cache_key
+                                 for point in outcome.result.points])
                         self.coalescer.resolve(key, future, body)
                     except BaseException as exc:
                         self.coalescer.reject(key, future, exc)
@@ -691,7 +730,8 @@ class ServingDaemon:
             self.metrics.increment("serve.sweep.per_point_points",
                                    meta["per_point_points"])
 
-    def _parse_scenario(self, payload: bytes) -> Scenario:
+    def _parse_scenario(self, payload: bytes,
+                        endpoint_kind: str) -> Scenario:
         if not payload:
             raise _HttpError(400, "empty body; POST a Scenario JSON object")
         with phase("serve.parse"):
@@ -700,9 +740,15 @@ class ServingDaemon:
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise _HttpError(400, f"body is not valid JSON: {exc}")
             try:
-                return Scenario.from_json(data)
+                scenario = Scenario.from_json(data)
             except HarmoniaError as exc:
                 raise _HttpError(400, str(exc))
+        if endpoint_kind != "run" and scenario.kind != endpoint_kind:
+            raise _HttpError(
+                400, f"scenario kind {scenario.kind!r} does not match "
+                f"endpoint /v1/{endpoint_kind}; use /v1/run or "
+                f"/v1/{scenario.kind}")
+        return scenario
 
 
 # ---------------------------------------------------------------------- #

@@ -152,10 +152,11 @@ def build_payload(report: Any) -> Dict[str, Any]:
     to ``ok``; ``failed`` and ``incompatible`` are properties of the
     matrix and survive.
     """
-    payload = _normalise(report.to_json())
-    for target in payload["targets"]:
-        if target["status"] in ("built", "cached", "shared"):
-            target["status"] = "ok"
+    with phase("service.payload"):
+        payload = _normalise(report.to_json())
+        for target in payload["targets"]:
+            if target["status"] in ("built", "cached", "shared"):
+                target["status"] = "ok"
     return payload
 
 
@@ -240,8 +241,9 @@ def run_orchestrator_service(scenario: Scenario, *,
     monitor = slo_monitor_for("epochs", slo)
     run_context = context if context is not None else SimContext(
         name="orchestrator", trace=True)
-    orchestrator = Orchestrator.from_scenario(
-        scenario, mode=mode, monitor=monitor, context=run_context)
+    with phase("orchestrator.build"):
+        orchestrator = Orchestrator.from_scenario(
+            scenario, mode=mode, monitor=monitor, context=run_context)
     start = time.perf_counter()
 
     def _run_and_check():
@@ -264,7 +266,8 @@ def run_orchestrator_service(scenario: Scenario, *,
     else:
         result, report = _run_and_check()
     elapsed = time.perf_counter() - start
-    payload = _normalise(result.to_json())
+    with phase("service.payload"):
+        payload = _normalise(result.to_json())
     return ServiceResult(
         kind="fleet", scenario=scenario, result=result, payload=payload,
         slo=report, elapsed_s=elapsed, context=run_context,
@@ -341,9 +344,11 @@ def run_fleet_service(scenario: Scenario, *,
     else:
         result, report = _run_and_check()
     elapsed = time.perf_counter() - start
+    with phase("service.payload"):
+        payload = _normalise(result.to_json())
     return ServiceResult(
         kind="fleet", scenario=scenario, result=result,
-        payload=_normalise(result.to_json()), slo=report,
+        payload=payload, slo=report,
         elapsed_s=elapsed, context=run_context,
         executed_points=len(run_policies),
     )

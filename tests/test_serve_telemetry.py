@@ -141,6 +141,43 @@ class TestTraceRing:
         assert not any(child.name == "sweep.fused"
                        for child in execute.children)
 
+    def test_a_memo_hit_records_no_execution(self, handle, client):
+        for trace_id in ("cold", "warm", "memo"):
+            response = http_request(
+                handle.host, handle.port, "POST", "/v1/sweep",
+                body=json.dumps(PLAIN.to_json()).encode("utf-8"),
+                headers={"X-Trace-Id": trace_id})
+            assert response.status == 200
+        assert response.headers["x-coalesced"] == "memo"
+        roots = {node.attrs.get("trace_id"): node
+                 for node in _ring(client).roots
+                 if node.name == "serve.request"}
+        memo = roots["memo"]
+        assert [child.name for child in memo.children] == [
+            "serve.admission", "serve.coalesce"]
+        coalesce = memo.children[1]
+        assert coalesce.attrs["role"] == "memo"
+        assert "serve.execute" in {child.name
+                                   for child in roots["warm"].children}
+
+    def test_fleet_day_phases_hang_under_execute(self, handle, client):
+        from repro.scenario import EpochsSpec, TenancySpec
+
+        day = Scenario(kind="fleet",
+                       tenancy=TenancySpec(flow_count=2_000, device_count=16,
+                                           tenant_count=4),
+                       epochs=EpochsSpec(epochs=3, churn=0.02))
+        assert client.run_scenario(day, endpoint="fleet").status == 200
+        root = next(node for node in _ring(client).roots
+                    if node.attrs.get("path") == "/v1/fleet")
+        execute = next(child for child in root.children
+                       if child.name == "serve.execute")
+        names = [child.name for child in execute.children]
+        assert {"orchestrator.build", "orchestrator.run", "service.payload",
+                "service.serialize"} <= set(names)
+        assert names.index("orchestrator.build") < \
+            names.index("orchestrator.run") < names.index("service.payload")
+
     def test_header_supplied_trace_id_propagates(self, handle, client):
         response = http_request(
             handle.host, handle.port, "POST", "/v1/sweep",
