@@ -61,6 +61,18 @@ class TestBatchedCacheOps:
         assert cache.lookup("old") is not None
         assert cache.lookup("new") is None
 
+    def test_refresh_all_probes_only_when_every_key_is_resident(self):
+        cache = SweepCache(max_entries=2)
+        cache.store("old", {"throughput_bps": 1.0})
+        cache.store("new", {"throughput_bps": 2.0})
+        assert not cache.refresh_all(["old", "missing"])
+        assert (cache.hits, cache.misses) == (0, 0)
+        assert cache.refresh_all(["old", "old"])   # as lookup_many would
+        assert (cache.hits, cache.misses) == (2, 0)
+        cache.store("third", {"throughput_bps": 3.0})
+        assert cache.lookup("old") is not None     # refreshed: "new" went
+        assert cache.lookup("new") is None
+
     def test_store_many_enforces_bound(self):
         cache = SweepCache(max_entries=2)
         cache.store_many((f"k{i}", {"throughput_bps": float(i)})
