@@ -17,6 +17,12 @@ Runs the epoch-stepped fleet orchestrator
   aggregates against the oracle matrices element-for-element at every
   single epoch.
 
+It also records, without a gate, a **served day**: the median build,
+epoch-loop and whole-request milliseconds of ``run_scenario`` over
+day requests of the perfbench ``orchestrator-day`` shape (100k flows x
+100 devices x 24 tenants, 32 epochs, a fresh seed each), timed after
+one warm-up request so the fleet shape memo is warm, as in the daemon.
+
 Results land in ``BENCH_orchestrator.json`` at the repository root;
 ``repro.cli report`` folds the file into the reproduction report.
 
@@ -25,16 +31,23 @@ Run directly: ``PYTHONPATH=src python benchmarks/orchestrator_smoke.py``
 
 import json
 import pathlib
+import random
+import statistics
 import sys
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.obs.analyze import TraceAnalysis  # noqa: E402
+from repro.obs.profiler import recording  # noqa: E402
 from repro.runtime.context import SimContext  # noqa: E402
 from repro.runtime.fleet import FleetSpec  # noqa: E402
 from repro.runtime.orchestrator import (  # noqa: E402
     OrchestratorSpec, run_orchestrator)
+from repro.runtime.trace import TraceBus  # noqa: E402
+from repro.scenario.spec import Scenario  # noqa: E402
+from repro.service.runs import run_scenario  # noqa: E402
 
 FLOWS = 1_000_000
 DEVICES = 1_000
@@ -45,6 +58,11 @@ VERIFY_EPOCHS = 96
 
 DAY_BUDGET_S = 10.0
 SPEEDUP_FLOOR = 5.0
+
+SERVED_REQUESTS = 21
+SERVED_SHAPE = {"flow_count": 100_000, "device_count": 100,
+                "tenant_count": 24}
+SERVED_EPOCHS = {"epochs": 32, "churn": 0.01}
 
 
 def _specs():
@@ -66,6 +84,36 @@ def _run(mode: str, epochs: int = EPOCHS):
     return result, context.metrics.snapshot(), elapsed
 
 
+def _served_day():
+    """Median phase costs of perfbench-shaped day requests (record only)."""
+    rng = random.Random(2_025)
+
+    def request_ms():
+        scenario = Scenario.from_json({
+            "kind": "fleet", "seed": rng.randrange(1, 2 ** 31),
+            "tenancy": SERVED_SHAPE, "epochs": SERVED_EPOCHS})
+        phases = TraceBus(clock_ps=lambda: time.perf_counter_ns() * 1_000,
+                          enabled=True)
+        started = time.perf_counter()
+        with recording(phases):
+            run_scenario(scenario).response_text()
+        elapsed_ms = (time.perf_counter() - started) * 1e3
+        totals = {name: total_ps / 1e9 for name, _, total_ps, _
+                  in TraceAnalysis(phases.records).flame()}
+        return (totals["orchestrator.build"], totals["orchestrator.run"],
+                elapsed_ms)
+
+    request_ms()  # warm-up: fills the shape memo, as the daemon's prime does
+    build, run, request = zip(*(request_ms() for _ in range(SERVED_REQUESTS)))
+    return {
+        "requests": SERVED_REQUESTS,
+        **SERVED_SHAPE, **SERVED_EPOCHS,
+        "build_ms": round(statistics.median(build), 3),
+        "run_ms": round(statistics.median(run), 3),
+        "request_ms": round(statistics.median(request), 3),
+    }
+
+
 def main() -> int:
     inc, inc_metrics, inc_e2e = _run("incremental")
     full, full_metrics, full_e2e = _run("full")
@@ -78,6 +126,7 @@ def main() -> int:
     metrics_exact = inc_metrics == full_metrics
 
     verify, _, verify_e2e = _run("verify", epochs=VERIFY_EPOCHS)
+    served_day = _served_day()
 
     last = inc.epochs[-1]
     baseline = {
@@ -103,6 +152,7 @@ def main() -> int:
                 verify.aggregate_digest
                 == run_digest_prefix(inc, VERIFY_EPOCHS)),
         },
+        "served_day": served_day,
         "final_epoch": {
             "flows": last.flows,
             "alive_devices": last.alive_devices,

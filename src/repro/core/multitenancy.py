@@ -15,10 +15,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-try:  # numpy is a declared dependency, but degrade instead of crashing.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
 from repro.core.role import Role
 from repro.errors import ConfigurationError, ResourceExhaustedError
@@ -125,8 +122,6 @@ def residency_matrix(tenant_load, slots: int):
     :class:`PartialReconfigManager`, which models one device's slots in
     full mechanical detail.
     """
-    if _np is None:
-        raise ConfigurationError("numpy is required for residency_matrix")
     if slots < 1:
         raise ConfigurationError("need at least one slot")
     loads = _np.asarray(tenant_load, dtype=_np.float64)

@@ -35,13 +35,12 @@ is present.
 """
 
 import heapq
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-try:  # numpy is a declared dependency, but degrade instead of crashing.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
 from repro.core.multitenancy import (
     PartialReconfigManager,
@@ -68,6 +67,14 @@ OVERLOAD_PENALTY_NS = 200_000.0
 RHO_KNEE = 0.95
 #: Network speed assumed for fleet entries the catalog cannot price.
 FALLBACK_GBPS = 25.0
+#: Integer rate quantum: 1 unit = 1 kbps, so 1 Gbps = 1e6 units.  All
+#: per-flow rates are int64 units; fleet-wide sums stay < 2**53, which
+#: keeps float64 bincount accumulation exact (the bit-exactness keystone
+#: of :mod:`repro.runtime.orchestrator`).
+RATE_UNITS_PER_GBPS = 1_000_000
+#: Byte bound of :data:`SHAPE_MEMO`.  A 100k-flow shape takes ~2.4 MB;
+#: a 1M-flow shape (~24 MB) is built for its caller and never kept.
+SHAPE_MEMO_MAX_BYTES = 16 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -331,8 +338,6 @@ def device_latency_tables(load_gbps, capacity_gbps,
     * an overload penalty proportional to over-subscription past
       ``rho = 1``.
     """
-    if _np is None:
-        raise ConfigurationError("numpy is required for the latency kernel")
     capacity = _np.asarray(capacity_gbps, dtype=_np.float64)
     load = _np.asarray(load_gbps, dtype=_np.float64)
     service_ns = mean_packet_bytes * 8 / capacity
@@ -359,8 +364,6 @@ def assign_flows(policy: str, flow_rate_gbps, flow_hash, capacity_gbps,
     caller-owned int64 buffer so batched callers skip per-policy
     allocations; the returned array is ``out`` when given.
     """
-    if _np is None:
-        raise ConfigurationError("numpy is required for flow assignment")
     flow_count = int(_np.asarray(flow_rate_gbps).shape[0])
     devices = int(_np.asarray(capacity_gbps).shape[0])
     if out is None:
@@ -389,17 +392,120 @@ def assign_flows(policy: str, flow_rate_gbps, flow_hash, capacity_gbps,
     )
 
 
+@dataclass(frozen=True)
+class SeedFreeArrays:
+    """The part of a fleet build that depends on its shape, not its seed.
+
+    All four follow from ``(flow_count, alpha, offered_load,
+    device_count, year)`` over one fleet history: the Zipf weights, the
+    per-flow rates capped at the fastest line rate, their integer
+    :data:`RATE_UNITS_PER_GBPS` units, and the harmonic number
+    ``H(flow_count)`` the orchestrator scales its arrival draws by.
+    """
+
+    flow_weights: _np.ndarray
+    flow_rate_gbps: _np.ndarray
+    flow_rate_units: _np.ndarray
+    harmonic_sum: float
+
+    @classmethod
+    def build(cls, flow_count: int, alpha: float, offered_gbps: float,
+              max_capacity_gbps: float) -> "SeedFreeArrays":
+        weights = zipf_weights_array(flow_count, alpha)
+        # A single flow is serialised through one port, so its offered
+        # rate can never exceed the fastest line rate in the fleet --
+        # without the cap the Zipf head would offer multi-Tbps "flows".
+        rate_gbps = _np.minimum(weights * offered_gbps, max_capacity_gbps)
+        rate_units = _np.maximum(
+            _np.floor(rate_gbps * RATE_UNITS_PER_GBPS), 1.0,
+        ).astype(_np.int64)
+        harmonic = float(
+            (1.0 / _np.arange(1, flow_count + 1, dtype=_np.float64)).sum())
+        for array in (weights, rate_gbps, rate_units):
+            array.setflags(write=False)
+        return cls(weights, rate_gbps, rate_units, harmonic)
+
+    @property
+    def nbytes(self) -> int:
+        return (self.flow_weights.nbytes + self.flow_rate_gbps.nbytes
+                + self.flow_rate_units.nbytes)
+
+
+class ShapeMemo:
+    """Bounded, thread-safe LRU of :class:`SeedFreeArrays` by fleet shape.
+
+    Requests that differ only in their seed share one read-only entry,
+    so a repeat of a shape pays for its seed-dependent work (hashes,
+    assignment, aggregates) and not for its shape.  Entries are evicted
+    least-recently-used past ``max_bytes``; an entry larger than the
+    whole bound is returned to its caller and never stored.  A miss
+    builds outside the lock, so two threads missing one key at once
+    both build (identical arrays) and the first stored copy is kept.
+    """
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.hits = 0
+        self._entries: "OrderedDict[Hashable, SeedFreeArrays]" = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable,
+            build: Callable[[], SeedFreeArrays]) -> SeedFreeArrays:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry
+        entry = build()
+        if entry.nbytes > self.max_bytes:
+            return entry
+        with self._lock:
+            if key in self._entries:
+                return self._entries[key]
+            self._entries[key] = entry
+            self._bytes += entry.nbytes
+            while self._bytes > self.max_bytes:
+                _, evicted = self._entries.popitem(last=False)
+                self._bytes -= evicted.nbytes
+        return entry
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0
+            self.hits = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def nbytes(self) -> int:
+        return self._bytes
+
+
+#: The process-wide shape memo :class:`FleetSimulation` builds through
+#: when it runs over the default :func:`production_fleet` history.
+SHAPE_MEMO = ShapeMemo(SHAPE_MEMO_MAX_BYTES)
+
+
 class FleetSimulation:
-    """One fleet serving scenario, replayable under multiple policies."""
+    """One fleet serving scenario, replayable under multiple policies.
+
+    The seed-free arrays come from :data:`SHAPE_MEMO` unless an explicit
+    ``history`` is given; those are read-only and shared between
+    simulations of one shape.
+    """
 
     def __init__(self, spec: Optional[FleetSpec] = None,
                  history: Optional[FleetHistory] = None,
                  context: Optional[SimContext] = None) -> None:
-        if _np is None:
-            raise ConfigurationError("numpy is required for the fleet simulator")
         self.spec = spec or FleetSpec()
         self.context = ensure_context(context)
-        history = history or production_fleet()
+        default_history = history is None
+        if default_history:
+            history = production_fleet()
         introductions = history.active_introductions(self.spec.year)
         if not introductions:
             raise ConfigurationError(
@@ -435,22 +541,30 @@ class FleetSimulation:
             self.slot_plan[group.device_name] = len(manager.slots)
 
         spec = self.spec
-        self.flow_weights = zipf_weights_array(spec.flow_count, spec.alpha)
         self.total_capacity_gbps = float(self.instance_capacity_gbps.sum())
         self.offered_gbps = spec.offered_load * self.total_capacity_gbps
-        # A single flow is serialised through one port, so its offered
-        # rate can never exceed the fastest line rate in the fleet --
-        # without the cap the Zipf head would offer multi-Tbps "flows".
-        self.flow_rate_gbps = _np.minimum(
-            self.flow_weights * self.offered_gbps,
-            float(self.instance_capacity_gbps.max()),
-        )
+
+        def build() -> SeedFreeArrays:
+            return SeedFreeArrays.build(
+                spec.flow_count, spec.alpha, self.offered_gbps,
+                float(self.instance_capacity_gbps.max()))
+
+        if default_history:
+            seed_free = SHAPE_MEMO.get(
+                (spec.flow_count, spec.alpha, spec.offered_load,
+                 spec.device_count, spec.year), build)
+        else:
+            seed_free = build()
+        self.flow_weights = seed_free.flow_weights
+        self.flow_rate_gbps = seed_free.flow_rate_gbps
+        self.flow_rate_units = seed_free.flow_rate_units
+        self.harmonic_sum = seed_free.harmonic_sum
         self.effective_offered_gbps = float(self.flow_rate_gbps.sum())
         self.flow_hash = flow_hashes32(spec.flow_count, spec.seed).astype(_np.int64)
         self.flow_tenant = (
-            flow_hashes32(spec.flow_count, spec.seed + 1).astype(_np.int64)
-            % spec.tenant_count
-        )
+            flow_hashes32(spec.flow_count, spec.seed + 1)
+            % _np.uint32(spec.tenant_count)
+        ).astype(_np.int64)
 
     def __len__(self) -> int:
         return self.spec.flow_count

@@ -59,10 +59,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-try:  # numpy is a declared dependency, but degrade instead of crashing.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
 from repro.core.multitenancy import residency_matrix
 from repro.errors import ConfigurationError
@@ -72,17 +69,13 @@ from repro.platform.fleet import FleetHistory
 from repro.runtime.context import SimContext, ensure_context
 from repro.runtime.fleet import (
     POLICIES,
+    RATE_UNITS_PER_GBPS,
     FleetSimulation,
     FleetSpec,
     TenantStats,
     device_latency_tables,
 )
 from repro.workloads.flows import ChurnStream
-
-#: Integer rate quantum: 1 unit = 1 kbps, so 1 Gbps = 1e6 units.  All
-#: per-flow rates are int64 units; fleet-wide sums stay < 2**53, which
-#: keeps float64 bincount accumulation exact (the bit-exactness keystone).
-RATE_UNITS_PER_GBPS = 1_000_000
 
 #: The three execution modes (see module docstring).
 MODES: Tuple[str, ...] = ("incremental", "full", "verify")
@@ -94,8 +87,24 @@ _PARKED, _ALIVE, _FAILED = 0, 1, 2
 #: halves are far below 2**31 (devices in the thousands, slots capped by
 #: ``flow_count + churn``), so the packed key is always non-negative and
 #: sorting it orders by device first, slot second.
-_PACK_SHIFT = _np.int64(32) if _np is not None else 32
-_PACK_MASK = _np.int64(0xFFFFFFFF) if _np is not None else 0xFFFFFFFF
+_PACK_SHIFT = _np.int64(32)
+_PACK_MASK = _np.int64(0xFFFFFFFF)
+
+
+def _sorted_distinct(values):
+    """``values`` sorted ascending with duplicates dropped.
+
+    Equal to ``np.unique(values)``, which takes a hash-table path on
+    integer input that a sort plus one adjacent compare beats by an
+    order of magnitude at the sizes the epoch loop reads.
+    """
+    values = _np.sort(values)
+    if values.shape[0] > 1:
+        keep = _np.empty(values.shape[0], dtype=bool)
+        keep[0] = True
+        _np.not_equal(values[1:], values[:-1], out=keep[1:])
+        values = values[keep]
+    return values
 
 
 class DeltaMismatch(Exception):
@@ -315,21 +324,20 @@ def desired_residency(tenant_units, slots: int):
     The residency plan is the ``slots`` heaviest tenants per device,
     ties toward the lower tenant index.  Folding the tie-break into a
     composite integer key (``units * tenants + reversed tenant index``)
-    makes every key distinct, so the top-``slots`` *set* is unique and
-    ``argpartition`` -- O(tenants) per device instead of a full stable
-    sort -- must select exactly the rows a stable descending sort
-    would.  This runs every epoch; ``tests/test_orchestrator.py`` pins
-    it element-equal to :func:`residency_matrix` on random matrices.
+    makes every key distinct, so the top-``slots`` *set* is unique: it
+    is every key at or above the row's ``slots``-th largest, which one
+    ``np.partition`` finds -- O(tenants) per device instead of a full
+    stable sort.  This runs every epoch; ``tests/test_orchestrator.py``
+    pins it element-equal to :func:`residency_matrix` on random
+    matrices.
     """
     devices, tenants = tenant_units.shape
     if tenants <= slots:
         return _np.ones((devices, tenants), dtype=bool)
     keys = (tenant_units * _np.int64(tenants)
             + _np.arange(tenants - 1, -1, -1, dtype=_np.int64))
-    top = _np.argpartition(-keys, slots - 1, axis=1)[:, :slots]
-    resident = _np.zeros((devices, tenants), dtype=bool)
-    _np.put_along_axis(resident, top, True, axis=1)
-    return resident
+    cutoff = _np.partition(keys, tenants - slots, axis=1)[:, tenants - slots]
+    return keys >= cutoff[:, None]
 
 
 def weighted_percentiles(values, weights, fractions):
@@ -342,8 +350,6 @@ def weighted_percentiles(values, weights, fractions):
     trivially bit-exact for identical inputs regardless of how the
     inputs were accumulated.
     """
-    if _np is None:
-        raise ConfigurationError("numpy is required for weighted percentiles")
     weights = _np.asarray(weights, dtype=_np.int64)
     values = _np.asarray(values, dtype=_np.float64)
     total = int(weights.sum())
@@ -375,8 +381,6 @@ class FleetState:
     def __init__(self, fleet_spec: FleetSpec, spec: OrchestratorSpec,
                  history: Optional[FleetHistory] = None,
                  context: Optional[SimContext] = None) -> None:
-        if _np is None:
-            raise ConfigurationError("numpy is required for the orchestrator")
         self.fleet_spec = fleet_spec
         self.spec = spec
         sim = FleetSimulation(fleet_spec, history=history, context=context)
@@ -402,16 +406,16 @@ class FleetState:
         capacity_slots = flow_count + self.churn_per_epoch
         self.capacity_slots = capacity_slots
 
-        # Per-flow ground truth (integer rate units).
+        # Per-flow ground truth (integer rate units), in slot arrays of
+        # this state's own: the simulation's rate units are a read-only
+        # array shared by every day of this fleet shape.
         self.flow_rate_units = _np.zeros(capacity_slots, dtype=_np.int64)
         self.flow_tenant = _np.zeros(capacity_slots, dtype=_np.int64)
         self.flow_device = _np.zeros(capacity_slots, dtype=_np.int64)
         self.flow_active = _np.zeros(capacity_slots, dtype=bool)
-        self.flow_rate_units[:flow_count] = _np.maximum(
-            _np.floor(sim.flow_rate_gbps * RATE_UNITS_PER_GBPS), 1.0,
-        ).astype(_np.int64)
+        self.flow_rate_units[:flow_count] = sim.flow_rate_units
         self.flow_tenant[:flow_count] = sim.flow_tenant
-        self.flow_device[:flow_count] = sim.assignment(spec.policy)
+        sim.assignment(spec.policy, out=self.flow_device[:flow_count])
         self.flow_active[:flow_count] = True
         self.max_rate_units = int(self.capacity_units.max())
 
@@ -425,38 +429,36 @@ class FleetState:
         # initial flow rate so churn does not systematically inflate or
         # starve the offered load (H(R) is the R-th harmonic number).
         self.max_rank = flow_count
-        mean_units = float(self.flow_rate_units[:flow_count].mean())
-        harmonic = float(
-            (1.0 / _np.arange(1, flow_count + 1, dtype=_np.float64)).sum())
+        mean_units = float(sim.flow_rate_units.mean())
         self.arrival_scale_units = max(
-            int(mean_units * flow_count / harmonic), 1)
+            int(mean_units * flow_count / sim.harmonic_sum), 1)
 
         self.churn_stream = ChurnStream(fleet_spec.seed)
         self.round_robin_cursor = 0
 
         # Lazy slot index: immutable sorted segments of *packed*
-        # ``device << 32 | slot`` int64 keys plus a flat pending buffer
-        # of recent placements.  Writes are O(1) list appends; the
-        # pending buffer is value-sorted into a new segment only when
-        # it outgrows a few epochs of churn, so the sort is amortised
-        # and there is no per-device Python loop anywhere.  Packing
-        # device and slot into one key makes the flush a single
-        # ``np.sort`` over plain values (no argsort indirection) and
-        # hands reads back per-device slot runs that are already in
-        # ascending slot order.  Reads (:meth:`device_flows`) slice
-        # each segment with two binary searches, scan the small pending
-        # buffer, and validate every candidate against the flow arrays
-        # -- so the result is exactly what an O(flows) ``flatnonzero``
-        # scan would produce, without the scan.  Purely a performance
-        # structure: every mode maintains it identically and no
-        # aggregate reads it.
-        self._segments: List = []
-        self._pending: List = []
-        self._pending_count = 0
+        # ``device << 32 | slot`` int64 keys plus one flat pending array
+        # of recent placements.  A write copies its keys onto the end
+        # of the pending array; the pending keys are value-sorted into
+        # a new segment only when they outgrow a few epochs of churn,
+        # so the sort is amortised and there is no per-device Python
+        # loop anywhere.  Packing device and slot into one key makes
+        # the flush a single ``np.sort`` over plain values (no argsort
+        # indirection) and hands reads back per-device slot runs that
+        # are already in ascending slot order.  Reads
+        # (:meth:`device_flows`) slice each segment with two binary
+        # searches, scan the pending array once, and validate every
+        # candidate against the flow arrays -- so the result is exactly
+        # what an O(flows) ``flatnonzero`` scan would produce, without
+        # the scan.  Purely a performance structure: every mode
+        # maintains it identically and no aggregate reads it.
+        initial = self.flow_device[:flow_count] << _PACK_SHIFT
+        initial |= _np.arange(flow_count, dtype=_np.int64)
+        initial.sort()
+        self._segments: List = [initial]
         self._flush_threshold = max(8 * self.churn_per_epoch, 4_096)
-        self._index_flush(
-            self.flow_device[:flow_count] << _PACK_SHIFT
-            | _np.arange(flow_count, dtype=_np.int64))
+        self._pending = _np.empty(self._flush_threshold, dtype=_np.int64)
+        self._pending_count = 0
 
         # Deferred-delta batch: during the churn phase of an epoch the
         # flow mutators enqueue their (devices, tenants, rates, sign)
@@ -468,9 +470,17 @@ class FleetState:
         self._deferring = False
         self._delta_parts: List[Tuple] = []
 
-        # Resident aggregates, seeded from the oracle rebuild.
-        self.load_units, self.tenant_units, self.tenant_flows = (
-            self.rebuild_aggregates())
+        # Resident aggregates: the initial population folds onto zero
+        # matrices as one delta, through the same exact integer path
+        # as every epoch's churn.  The oracle rebuild would also scan
+        # the free slots, which hold nothing yet.
+        self.load_units = _np.zeros(self.total_devices, dtype=_np.int64)
+        self.tenant_units = _np.zeros((self.total_devices, tenants),
+                                      dtype=_np.int64)
+        self.tenant_flows = _np.zeros_like(self.tenant_units)
+        self._apply_parts([(
+            self.flow_device[:flow_count], self.flow_tenant[:flow_count],
+            self.flow_rate_units[:flow_count], +1)])
         # Bootstrap residency: every desired grant is free at epoch -1
         # (the fleet boots with its bitstreams already loaded).
         desired = residency_matrix(self.tenant_units, fleet_spec.slots_per_device)
@@ -489,8 +499,8 @@ class FleetState:
         device))`` by construction: the index over-approximates (stale
         departures, moved-away flows, re-added slots may linger or
         repeat), the read filters against the ground-truth arrays and
-        ``np.unique`` restores the sorted-distinct order the scan would
-        produce.
+        :func:`_sorted_distinct` restores the sorted-distinct order the
+        scan would produce.
         """
         low_key = _np.int64(device) << _PACK_SHIFT
         high_key = _np.int64(device + 1) << _PACK_SHIFT
@@ -499,45 +509,52 @@ class FleetState:
             low = int(_np.searchsorted(segment, low_key, side="left"))
             high = int(_np.searchsorted(segment, high_key, side="left"))
             if high > low:
-                parts.append(segment[low:high] & _PACK_MASK)
-        for pending in self._pending:
-            matches = pending[(pending >> _PACK_SHIFT) == device]
-            if matches.shape[0]:
-                parts.append(matches & _PACK_MASK)
+                parts.append(segment[low:high])
+        pending = self._pending[:self._pending_count]
+        matches = pending[(pending >= low_key) & (pending < high_key)]
+        if matches.shape[0]:
+            parts.append(matches)
         if not parts:
             return _np.empty(0, dtype=_np.int64)
-        slots = parts[0] if len(parts) == 1 else _np.concatenate(parts)
-        return _np.unique(
+        slots = (parts[0] if len(parts) == 1
+                 else _np.concatenate(parts)) & _PACK_MASK
+        return _sorted_distinct(
             slots[self.flow_active[slots]
                   & (self.flow_device[slots] == device)])
 
     def _index_add(self, slots, devices) -> None:
         """Record placements; sorting into a segment is deferred until
-        the pending buffer outgrows :attr:`_flush_threshold`, so the
-        sort is amortised over several epochs of churn."""
-        if not slots.shape[0]:
+        the pending keys outgrow :attr:`_flush_threshold`, so the sort
+        is amortised over several epochs of churn."""
+        count = int(slots.shape[0])
+        if not count:
             return
-        self._pending.append(devices << _PACK_SHIFT | slots)
-        self._pending_count += int(slots.shape[0])
-        if self._pending_count >= self._flush_threshold:
-            batches = self._pending
-            self._pending = []
+        start = self._pending_count
+        end = start + count
+        if end > self._pending.shape[0]:
+            grown = _np.empty(max(end, 2 * self._pending.shape[0]),
+                              dtype=_np.int64)
+            grown[:start] = self._pending[:start]
+            self._pending = grown
+        keys = self._pending[start:end]
+        _np.left_shift(devices, _PACK_SHIFT, out=keys)
+        keys |= slots
+        self._pending_count = end
+        if end >= self._flush_threshold:
             self._pending_count = 0
-            self._index_flush(batches[0] if len(batches) == 1
-                              else _np.concatenate(batches))
+            self._index_flush(self._pending[:end])
 
     def _index_flush(self, packed) -> None:
         """Freeze packed keys into one immutable sorted segment.
 
-        One value ``np.sort`` (no argsort indirection) orders the keys
-        by device then slot.  Stale entries (departed or re-homed
-        flows) linger until the segment list grows long, then one
-        compaction pass drops every entry the ground-truth arrays no
-        longer vouch for -- so index size stays proportional to live
-        flows plus a few epochs of churn, even on very long runs.
+        One value ``np.sort`` (no argsort indirection) orders a copy of
+        the keys by device then slot, so ``packed`` may be reused.
+        Stale entries (departed or re-homed flows) linger until the
+        segment list grows long, then one compaction pass drops every
+        entry the ground-truth arrays no longer vouch for -- so index
+        size stays proportional to live flows plus a few epochs of
+        churn, even on very long runs.
         """
-        if not packed.shape[0]:
-            return
         self._segments.append(_np.sort(packed))
         if len(self._segments) >= 48:
             packed = _np.concatenate(self._segments)
@@ -814,14 +831,7 @@ class Orchestrator:
                 candidates = state.churn_stream.picks(
                     epoch, f"depart/{salt}", need + (need >> 2) + 8,
                     state.capacity_slots)
-            # Sort-based distinct (== np.unique, which pays for a hash
-            # table this hot path does not need).
-            candidates = _np.sort(candidates)
-            if candidates.shape[0] > 1:
-                keep = _np.empty(candidates.shape[0], dtype=bool)
-                keep[0] = True
-                _np.not_equal(candidates[1:], candidates[:-1], out=keep[1:])
-                candidates = candidates[keep]
+            candidates = _sorted_distinct(candidates)
             candidates = candidates[state.flow_active[candidates]]
             if chosen.shape[0]:
                 candidates = candidates[~_np.isin(candidates, chosen)]
@@ -883,8 +893,11 @@ class Orchestrator:
             return 0
         source = int(alive[hot_position])
         tenant = int(_np.argmax(state.tenant_units[source]))
-        order = alive[_np.argsort(util, kind="stable")]
-        target = int(order[0]) if int(order[0]) != source else int(order[1])
+        # The least-utilised device, first in stable order.  It is the
+        # hottest one only when every alive device ties (argmax and
+        # argmin then both answer 0), and the next in order is alive[1].
+        coolest = int(_np.argmin(util))
+        target = int(alive[coolest if coolest != hot_position else 1])
         on_source = state.device_flows(source)
         slots = on_source[state.flow_tenant[on_source] == tenant]
         if not slots.shape[0]:
@@ -1256,10 +1269,12 @@ class Orchestrator:
 
         tenants = self._tenant_stats()
         flow_digest = hashlib.sha256()
-        flow_digest.update(state.flow_active.tobytes())
-        flow_digest.update(state.flow_device.tobytes())
-        flow_digest.update(state.flow_tenant.tobytes())
-        flow_digest.update(state.flow_rate_units.tobytes())
+        # The arrays' own buffers: the same bytes as ``tobytes()``
+        # without a copy of every per-flow array.
+        flow_digest.update(state.flow_active)
+        flow_digest.update(state.flow_device)
+        flow_digest.update(state.flow_tenant)
+        flow_digest.update(state.flow_rate_units)
         wall_s = _time.perf_counter() - started
         trace.end(run_span, ts_ps=self._ts(spec.epochs),
                   wall_s=round(wall_s, 6))

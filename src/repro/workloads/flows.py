@@ -13,18 +13,13 @@ Sampling is vectorized with a seeded :class:`numpy.random.Generator`,
 so million-flow populations and million-packet streams build at array
 speed; the fleet simulator (:mod:`repro.runtime.fleet`) leans on the
 array forms (:func:`zipf_weights_array`, :func:`flow_hashes32`,
-``FlowSet.sizes_bytes``) directly.  Without numpy everything falls back
-to the original scalar loops.
+``FlowSet.sizes_bytes``) directly.
 """
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List
 
-try:  # numpy is a declared dependency, but degrade instead of crashing.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
 from repro.errors import ConfigurationError
 from repro.workloads.packets import FiveTuple, Packet, PacketGenerator
@@ -43,9 +38,7 @@ def _check_zipf(count: int, alpha: float) -> None:
 
 
 def zipf_weights_array(count: int, alpha: float = 1.1):
-    """Normalised Zipf weights as a float64 array (requires numpy)."""
-    if _np is None:
-        raise ConfigurationError("numpy is required for zipf_weights_array")
+    """Normalised Zipf weights as a float64 array."""
     _check_zipf(count, alpha)
     ranks = _np.arange(1, count + 1, dtype=_np.float64)
     raw = 1.0 / ranks ** alpha
@@ -54,16 +47,15 @@ def zipf_weights_array(count: int, alpha: float = 1.1):
 
 def zipf_weights(count: int, alpha: float = 1.1) -> List[float]:
     """Normalised Zipf popularity weights for ``count`` ranks."""
-    if _np is not None:
-        return zipf_weights_array(count, alpha).tolist()
-    _check_zipf(count, alpha)
-    raw = [1.0 / (rank ** alpha) for rank in range(1, count + 1)]
-    total = sum(raw)
-    return [weight / total for weight in raw]
+    return zipf_weights_array(count, alpha).tolist()
 
 
 def _splitmix64(value: int) -> int:
-    """Scalar splitmix64 finaliser (the fallback for :func:`flow_hashes32`)."""
+    """Scalar splitmix64 finaliser.
+
+    :func:`churn_stream_hashes32` derives every channel seed with it;
+    :func:`flow_hashes32` is the same finaliser over an array.
+    """
     value = (value + 0x9E3779B97F4A7C15) & _MASK64
     value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -76,20 +68,25 @@ def flow_hashes32(count: int, seed: int = 0):
     A vectorized splitmix64 finaliser over ``rank + seed * golden``;
     statistically well-mixed, stable across platforms and numpy
     versions (pure integer arithmetic, no Generator state involved).
-    Returns a ``uint32`` array, or a plain list without numpy.
+    Returns a ``uint32`` array.
     """
     if count < 0:
         raise ConfigurationError("hash count must be non-negative")
     offset = (seed * 0x9E3779B97F4A7C15) & _MASK64
-    if _np is None:
-        return [_splitmix64((rank + offset) & _MASK64) >> 32
-                for rank in range(count)]
-    x = _np.arange(count, dtype=_np.uint64) + _np.uint64(offset)
-    x = x + _np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> _np.uint64(30))) * _np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> _np.uint64(27))) * _np.uint64(0x94D049BB133111EB)
-    x = x ^ (x >> _np.uint64(31))
-    return (x >> _np.uint64(32)).astype(_np.uint32)
+    # In place, over one scratch array: uint64 arithmetic wraps mod
+    # 2**64, so folding the two additions into one is exact.
+    x = _np.arange(count, dtype=_np.uint64)
+    x += _np.uint64((offset + 0x9E3779B97F4A7C15) & _MASK64)
+    shifted = x >> _np.uint64(30)
+    x ^= shifted
+    x *= _np.uint64(0xBF58476D1CE4E5B9)
+    _np.right_shift(x, _np.uint64(27), out=shifted)
+    x ^= shifted
+    x *= _np.uint64(0x94D049BB133111EB)
+    _np.right_shift(x, _np.uint64(31), out=shifted)
+    x ^= shifted
+    x >>= _np.uint64(32)
+    return x.astype(_np.uint32)
 
 
 def _fnv1a64(text: str) -> int:
@@ -160,8 +157,6 @@ class ChurnStream:
         """Raw uint32 draws folded to indices in ``[0, modulus)``."""
         if modulus < 1:
             raise ConfigurationError("pick modulus must be positive")
-        if _np is None:
-            return [int(value) % modulus for value in draws]
         return draws.astype(_np.int64) % modulus
 
     def picks(self, epoch: int, channel: str, count: int, modulus: int):
@@ -180,8 +175,6 @@ class ChurnStream:
         if scale_units < 1:
             raise ConfigurationError("rate scale must be positive")
         ranks = ChurnStream.as_picks(draws, max_rank)
-        if _np is None:
-            return [max(scale_units // (rank + 1), 1) for rank in ranks]
         return _np.maximum(scale_units // (ranks + 1), 1)
 
     def harmonic_rate_units(self, epoch: int, channel: str, count: int,
@@ -222,29 +215,20 @@ class FlowSet:
         self.count = count
         self._seed = seed
         scale = mean_flow_bytes * (pareto_shape - 1) / pareto_shape
-        if _np is not None:
-            self.weights = zipf_weights_array(count, alpha)
-            rng = _np.random.default_rng(seed)
-            raw = scale * (1.0 - rng.random(count)) ** (-1.0 / pareto_shape)
-            # Inverse-CDF Pareto sampling; clip the astronomically rare
-            # top draws so the int64 cast can never overflow.
-            self.sizes_bytes = _np.clip(raw, 64, 2.0 ** 62).astype(_np.int64)
-        else:
-            self.weights = zipf_weights(count, alpha)
-            rng = random.Random(seed)
-            self.sizes_bytes = [
-                max(int(scale * (1.0 - rng.random()) ** (-1.0 / pareto_shape)), 64)
-                for _ in range(count)
-            ]
+        self.weights = zipf_weights_array(count, alpha)
+        rng = _np.random.default_rng(seed)
+        raw = scale * (1.0 - rng.random(count)) ** (-1.0 / pareto_shape)
+        # Inverse-CDF Pareto sampling; clip the astronomically rare top
+        # draws so the int64 cast can never overflow.
+        self.sizes_bytes = _np.clip(raw, 64, 2.0 ** 62).astype(_np.int64)
         self._profiles: List[FlowProfile] = []
 
     @property
     def profiles(self) -> List[FlowProfile]:
         if not self._profiles:
             generator = PacketGenerator(seed=self._seed)
-            weights = self.weights.tolist() if _np is not None else self.weights
-            sizes = (self.sizes_bytes.tolist() if _np is not None
-                     else self.sizes_bytes)
+            weights = self.weights.tolist()
+            sizes = self.sizes_bytes.tolist()
             self._profiles = [
                 FlowProfile(generator.flow(rank), weights[rank], sizes[rank])
                 for rank in range(self.count)
@@ -260,9 +244,7 @@ class FlowSet:
     def top_share(self, fraction: float = 0.1) -> float:
         """Traffic share of the most popular ``fraction`` of flows."""
         head = max(int(self.count * fraction), 1)
-        if _np is not None:
-            return float(self.weights[:head].sum())
-        return sum(self.weights[:head])
+        return float(self.weights[:head].sum())
 
 
 def skewed_packet_stream(
@@ -273,16 +255,9 @@ def skewed_packet_stream(
     seed: int = 7,
 ) -> List[Packet]:
     """Packets drawn by flow popularity (deterministic per seed)."""
-    if _np is not None:
-        rng = _np.random.default_rng(seed)
-        chosen = rng.choice(
-            flow_set.count, size=packet_count, p=_np.asarray(flow_set.weights)
-        ).tolist()
-    else:
-        rng = random.Random(seed)
-        chosen = rng.choices(
-            range(flow_set.count), weights=list(flow_set.weights), k=packet_count
-        )
+    rng = _np.random.default_rng(seed)
+    chosen = rng.choice(
+        flow_set.count, size=packet_count, p=flow_set.weights).tolist()
     flows = [profile.flow for profile in flow_set.profiles]
     packets: List[Packet] = []
     gap_ps = int(packet_bytes * 8 / 100e9 * 1e12)

@@ -166,6 +166,57 @@ class TestFleetState:
                     state.device_flows(device),
                     self._flows_oracle(state, device))
 
+    def _assert_index_exact(self, state):
+        for device in range(state.total_devices):
+            assert np.array_equal(state.device_flows(device),
+                                  self._flows_oracle(state, device))
+
+    def test_device_flows_dedupes_a_round_trip_across_segment_and_pending(self):
+        # A -> B -> A inside one flush window: slot keys for A sit in
+        # the initial segment *and* the pending array, so the read sees
+        # every one of them twice and must return each once.
+        state = self._state()
+        home = state.device_flows(3)[:40]
+        state.move_flows(home, np.full(home.shape[0], 5, dtype=np.int64))
+        self._assert_index_exact(state)
+        state.move_flows(home, np.full(home.shape[0], 3, dtype=np.int64))
+        assert len(state._segments) == 1 and state._pending_count > 0
+        self._assert_index_exact(state)
+        assert np.isin(home, state.device_flows(3)).all()
+
+    def test_device_flows_over_many_pending_batches(self):
+        state = self._state()
+        stream = ChurnStream(12)
+        for batch in range(60):
+            slots = np.unique(stream.picks(batch, "slot", 25,
+                                           SMALL_FLEET.flow_count))
+            state.move_flows(slots, stream.picks(
+                batch, "dev", slots.shape[0], state.base_devices))
+            if batch % 10 == 9:
+                self._assert_index_exact(state)
+        assert len(state._segments) == 1
+        assert state._pending_count < state._flush_threshold
+        self._assert_index_exact(state)
+
+    def test_device_flows_through_segment_compaction(self):
+        state = self._state()
+        stream = ChurnStream(13)
+        largest = compactions = 0
+        for batch in range(400):
+            slots = np.unique(stream.picks(batch, "slot", 3_000,
+                                           SMALL_FLEET.flow_count))
+            state.move_flows(slots, stream.picks(
+                batch, "dev", slots.shape[0], state.base_devices))
+            segments = len(state._segments)
+            if segments < largest:
+                compactions += 1
+                self._assert_index_exact(state)
+                if compactions == 2:
+                    break
+            largest = segments
+        assert compactions == 2
+        self._assert_index_exact(state)
+
     def test_deferred_deltas_equal_eager_deltas(self):
         eager, deferred = self._state(), self._state()
         stream = ChurnStream(4)
@@ -384,6 +435,31 @@ class TestConservationInvariants:
         assert np.array_equal(load, state.load_units)
         assert np.array_equal(units, state.tenant_units)
         assert np.array_equal(counts, state.tenant_flows)
+
+    @pytest.mark.parametrize("coolest", [None, 5])
+    def test_migration_targets_the_first_least_utilised_device(self,
+                                                               coolest):
+        # Hottest = first maximum; target = first minimum, or -- when
+        # every alive device ties -- the second alive device.
+        orchestrator = Orchestrator(SMALL_FLEET, SMALL_SPEC)
+        state = orchestrator.state
+        alive = state.alive_devices()
+        snapshot = np.full(state.total_devices, 2.0)
+        snapshot[alive[3]] = 3.0
+        if coolest is None:
+            snapshot[alive[3]] = 2.0
+            source, target = int(alive[0]), int(alive[1])
+        else:
+            snapshot[alive[coolest]] = snapshot[alive[coolest + 2]] = 1.5
+            source, target = int(alive[3]), int(alive[coolest])
+        tenant = int(np.argmax(state.tenant_units[source]))
+        moved = state.device_flows(source)
+        moved = moved[state.flow_tenant[moved] == tenant]
+        assert orchestrator._maybe_migrate(0, snapshot, alive) == 1
+        assert np.array_equal(state.flow_device[moved],
+                              np.full(moved.shape[0], target))
+        assert not (state.flow_tenant[state.device_flows(source)]
+                    == tenant).any()
 
 
 class TestScale:
