@@ -22,6 +22,12 @@ epoch-loop and whole-request milliseconds of ``run_scenario`` over
 day requests of the perfbench ``orchestrator-day`` shape (100k flows x
 100 devices x 24 tenants, 32 epochs, a fresh seed each), timed after
 one warm-up request so the fleet shape memo is warm, as in the daemon.
+The served day runs last and first applies the serving daemon's heap
+policy (:mod:`repro.serve.heap`, process-wide), so it also records the
+mean minor page faults of one request on this thread
+(``minflt_per_request``, ``None`` where the platform cannot count
+them), and the median epoch loop of the same shape at zero churn
+(``fixed_run_ms``): the per-epoch bookkeeping no churn pays for.
 
 Results land in ``BENCH_orchestrator.json`` at the repository root;
 ``repro.cli report`` folds the file into the reproduction report.
@@ -32,6 +38,7 @@ Run directly: ``PYTHONPATH=src python benchmarks/orchestrator_smoke.py``
 import json
 import pathlib
 import random
+import resource
 import statistics
 import sys
 import time
@@ -47,6 +54,7 @@ from repro.runtime.orchestrator import (  # noqa: E402
     OrchestratorSpec, run_orchestrator)
 from repro.runtime.trace import TraceBus  # noqa: E402
 from repro.scenario.spec import Scenario  # noqa: E402
+from repro.serve.heap import apply_heap_policy  # noqa: E402
 from repro.service.runs import run_scenario  # noqa: E402
 
 FLOWS = 1_000_000
@@ -85,32 +93,49 @@ def _run(mode: str, epochs: int = EPOCHS):
 
 
 def _served_day():
-    """Median phase costs of perfbench-shaped day requests (record only)."""
-    rng = random.Random(2_025)
+    """Median phase costs of perfbench-shaped day requests (record only).
 
-    def request_ms():
+    Applies the daemon's process-wide heap policy first, so it must run
+    after every other block.
+    """
+    apply_heap_policy()
+    rng = random.Random(2_025)
+    fault_counter = getattr(resource, "RUSAGE_THREAD", None)
+
+    def request_ms(epochs=SERVED_EPOCHS):
         scenario = Scenario.from_json({
             "kind": "fleet", "seed": rng.randrange(1, 2 ** 31),
-            "tenancy": SERVED_SHAPE, "epochs": SERVED_EPOCHS})
+            "tenancy": SERVED_SHAPE, "epochs": epochs})
         phases = TraceBus(clock_ps=lambda: time.perf_counter_ns() * 1_000,
                           enabled=True)
+        faults = (resource.getrusage(fault_counter).ru_minflt
+                  if fault_counter is not None else 0)
         started = time.perf_counter()
         with recording(phases):
             run_scenario(scenario).response_text()
         elapsed_ms = (time.perf_counter() - started) * 1e3
+        if fault_counter is not None:
+            faults = resource.getrusage(fault_counter).ru_minflt - faults
         totals = {name: total_ps / 1e9 for name, _, total_ps, _
                   in TraceAnalysis(phases.records).flame()}
         return (totals["orchestrator.build"], totals["orchestrator.run"],
-                elapsed_ms)
+                elapsed_ms, faults)
 
     request_ms()  # warm-up: fills the shape memo, as the daemon's prime does
-    build, run, request = zip(*(request_ms() for _ in range(SERVED_REQUESTS)))
+    build, run, request, faults = zip(
+        *(request_ms() for _ in range(SERVED_REQUESTS)))
+    fixed_epochs = {**SERVED_EPOCHS, "churn": 0.0}
+    fixed_run = [request_ms(fixed_epochs)[1]
+                 for _ in range(SERVED_REQUESTS)]
     return {
         "requests": SERVED_REQUESTS,
         **SERVED_SHAPE, **SERVED_EPOCHS,
         "build_ms": round(statistics.median(build), 3),
         "run_ms": round(statistics.median(run), 3),
         "request_ms": round(statistics.median(request), 3),
+        "fixed_run_ms": round(statistics.median(fixed_run), 3),
+        "minflt_per_request": (round(statistics.mean(faults), 1)
+                               if fault_counter is not None else None),
     }
 
 
@@ -126,7 +151,9 @@ def main() -> int:
     metrics_exact = inc_metrics == full_metrics
 
     verify, _, verify_e2e = _run("verify", epochs=VERIFY_EPOCHS)
-    served_day = _served_day()
+    verify_digest_matches = (verify.aggregate_digest
+                             == run_digest_prefix(inc, VERIFY_EPOCHS))
+    served_day = _served_day()  # last: it changes the process's heap policy
 
     last = inc.epochs[-1]
     baseline = {
@@ -148,9 +175,7 @@ def main() -> int:
             "metrics_bit_exact": metrics_exact,
             "aggregate_digest": inc.aggregate_digest,
             "flow_digest": inc.flow_digest,
-            "verify_digest_matches": (
-                verify.aggregate_digest
-                == run_digest_prefix(inc, VERIFY_EPOCHS)),
+            "verify_digest_matches": verify_digest_matches,
         },
         "served_day": served_day,
         "final_epoch": {

@@ -517,7 +517,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeConfig, ServingDaemon
+    from repro.serve.heap import apply_heap_policy
 
+    apply_heap_policy()
     config = ServeConfig(
         host=args.host, port=args.port, exec_workers=args.exec_workers,
         max_queue=args.max_queue, quota_rps=args.quota_rps,

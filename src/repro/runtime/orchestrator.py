@@ -22,14 +22,15 @@ N epochs of:
 
 **The perf core is delta-vectorized epoch stepping.**  Per-device load,
 per-(device, tenant) load and flow-count matrices stay resident across
-epochs; each epoch applies O(churn)-sized ``np.bincount`` deltas for
-exactly the flows the churn set touched, instead of an O(flows)
-recompute.  All flow rates are *integers* (1 unit = 1 kbps,
-:data:`RATE_UNITS_PER_GBPS` per Gbps): every partial sum stays far
-below 2**53, so float64 bincount accumulation is exact and
-order-independent -- which is what lets the incremental path promise
-**bit-exactness** against the full-recompute oracle, not just
-closeness.  Three modes share one code path:
+epochs; each epoch applies O(churn)-sized int64 ``np.add.at`` /
+``np.subtract.at`` deltas for exactly the flows the churn set touched,
+instead of an O(flows) recompute.  All flow rates are *integers* (1
+unit = 1 kbps, :data:`RATE_UNITS_PER_GBPS` per Gbps), so the deltas are
+exact and order-independent, and the oracle's float64 bincounts stay
+exact too (every partial sum is far below 2**53) -- which is what lets
+the incremental path promise **bit-exactness** against the
+full-recompute oracle, not just closeness.  Three modes share one code
+path:
 
 * ``incremental`` -- aggregates are maintained by deltas only (the
   production fast path);
@@ -54,7 +55,6 @@ fleet-wide p50/p99 is a weighted nearest-rank percentile over the
 O(devices x tenants) per epoch, independent of flow count.
 """
 
-import dataclasses as _dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -83,10 +83,25 @@ MODES: Tuple[str, ...] = ("incremental", "full", "verify")
 # Device lifecycle states.
 _PARKED, _ALIVE, _FAILED = 0, 1, 2
 
-#: Slot-index packing: ``device << 32 | slot`` in one int64 key.  Both
-#: halves are far below 2**31 (devices in the thousands, slots capped by
-#: ``flow_count + churn``), so the packed key is always non-negative and
-#: sorting it orders by device first, slot second.
+#: ``fleet.epoch.*`` gauges set from each epoch's observation, and the
+#: counters its churn and scheduling steps increment before the SLO
+#: monitor reads them (``scaled_up`` / ``scaled_down`` follow the
+#: autoscaler).  Every name is also an :class:`EpochStats` field.
+_EPOCH_GAUGES: Tuple[str, ...] = (
+    "p50_ns", "p99_ns", "mean_ns", "utilization_mean", "utilization_max",
+    "overloaded_devices", "non_resident_flows", "flows", "alive_devices",
+    "offered_gbps")
+_EPOCH_COUNTERS: Tuple[str, ...] = (
+    "arrivals", "departures", "failures", "drains", "migrations",
+    "pr_grants")
+
+#: Slot-index packing: ``cell << 32 | slot`` in one int64 key, where
+#: ``cell = device * tenants + tenant``.  Precondition: ``devices *
+#: tenants < 2**31`` (thousands of devices times tens of tenants) and
+#: slots (capped by ``flow_count + churn``) below 2**32, so the packed
+#: key is always non-negative and sorting it orders by device, then
+#: tenant, then slot: one cell, or one device's ``tenants`` contiguous
+#: cells, is one key range.
 _PACK_SHIFT = _np.int64(32)
 _PACK_MASK = _np.int64(0xFFFFFFFF)
 
@@ -352,18 +367,16 @@ def weighted_percentiles(values, weights, fractions):
     """
     weights = _np.asarray(weights, dtype=_np.int64)
     values = _np.asarray(values, dtype=_np.float64)
-    total = int(weights.sum())
+    order = _np.argsort(values, kind="stable")
+    cumulative = _np.cumsum(weights[order])
+    total = int(cumulative[-1]) if cumulative.shape[0] else 0
     if total <= 0:
         return [0.0 for _ in fractions]
-    order = _np.argsort(values, kind="stable")
-    ordered = values[order]
-    cumulative = _np.cumsum(weights[order])
-    out = []
-    for fraction in fractions:
-        target = max(int(-(-fraction * total // 1)), 1)  # ceil, >= 1
-        index = int(_np.searchsorted(cumulative, target))
-        out.append(float(ordered[min(index, len(ordered) - 1)]))
-    return out
+    targets = [max(int(-(-fraction * total // 1)), 1)  # ceil, >= 1
+               for fraction in fractions]
+    index = _np.searchsorted(cumulative, targets)
+    _np.minimum(index, cumulative.shape[0] - 1, out=index)
+    return values[order[index]].tolist()
 
 
 class FleetState:
@@ -437,22 +450,26 @@ class FleetState:
         self.round_robin_cursor = 0
 
         # Lazy slot index: immutable sorted segments of *packed*
-        # ``device << 32 | slot`` int64 keys plus one flat pending array
-        # of recent placements.  A write copies its keys onto the end
-        # of the pending array; the pending keys are value-sorted into
-        # a new segment only when they outgrow a few epochs of churn,
-        # so the sort is amortised and there is no per-device Python
-        # loop anywhere.  Packing device and slot into one key makes
-        # the flush a single ``np.sort`` over plain values (no argsort
-        # indirection) and hands reads back per-device slot runs that
-        # are already in ascending slot order.  Reads
+        # ``(device * tenants + tenant) << 32 | slot`` int64 keys (see
+        # _PACK_SHIFT) plus one flat pending array of recent
+        # placements.  A write copies its keys onto the end of the
+        # pending array; the pending keys are value-sorted into a new
+        # segment only when they outgrow a few epochs of churn, so the
+        # sort is amortised and there is no per-device Python loop
+        # anywhere.  Packing the (device, tenant) cell and the slot
+        # into one key makes the flush a single ``np.sort`` over plain
+        # values (no argsort indirection) and hands reads back one
+        # cell's slot run -- a migration's tenant on its device -- or
+        # a device's ``tenants`` contiguous runs.  Reads
         # (:meth:`device_flows`) slice each segment with two binary
         # searches, scan the pending array once, and validate every
-        # candidate against the flow arrays -- so the result is exactly
-        # what an O(flows) ``flatnonzero`` scan would produce, without
-        # the scan.  Purely a performance structure: every mode
-        # maintains it identically and no aggregate reads it.
-        initial = self.flow_device[:flow_count] << _PACK_SHIFT
+        # candidate's cell against the flow arrays -- so the result is
+        # exactly what an O(flows) ``flatnonzero`` scan would produce,
+        # without the scan.  Purely a performance structure: every
+        # mode maintains it identically and no aggregate reads it.
+        initial = self.flow_device[:flow_count] * _np.int64(tenants)
+        initial += self.flow_tenant[:flow_count]
+        initial <<= _PACK_SHIFT
         initial |= _np.arange(flow_count, dtype=_np.int64)
         initial.sort()
         self._segments: List = [initial]
@@ -463,10 +480,8 @@ class FleetState:
         # Deferred-delta batch: during the churn phase of an epoch the
         # flow mutators enqueue their (devices, tenants, rates, sign)
         # contributions here and :meth:`flush_deltas` folds the whole
-        # churn set into the aggregates with ONE fused signed bincount
-        # pass.  Signed integer partial sums stay < 2**53 in magnitude,
-        # so the fused application is bit-equal to applying each part
-        # separately -- order and batching never matter.
+        # churn set into the aggregates at once.  The folds are exact
+        # int64 arithmetic, so batching and order never matter.
         self._deferring = False
         self._delta_parts: List[Tuple] = []
 
@@ -492,37 +507,54 @@ class FleetState:
     def alive_devices(self):
         return _np.flatnonzero(self.status == _ALIVE)
 
-    def device_flows(self, device: int):
-        """Active slots homed on ``device``, ascending and distinct.
+    def device_flows(self, device: int, tenant: Optional[int] = None):
+        """Active slots homed on ``device`` (of ``tenant``, if given),
+        ascending and distinct.
 
         Bit-equal to ``flatnonzero(flow_active & (flow_device ==
-        device))`` by construction: the index over-approximates (stale
-        departures, moved-away flows, re-added slots may linger or
-        repeat), the read filters against the ground-truth arrays and
+        device) [& (flow_tenant == tenant)])`` by construction: the
+        index over-approximates (stale departures, moved-away flows,
+        slots re-added under another cell may linger or repeat), the
+        read keeps only entries whose cell is still the flow's own and
         :func:`_sorted_distinct` restores the sorted-distinct order the
-        scan would produce.
+        scan would produce.  A tenant read is one cell's key range; a
+        device read spans its ``tenants`` contiguous cells.
         """
-        low_key = _np.int64(device) << _PACK_SHIFT
-        high_key = _np.int64(device + 1) << _PACK_SHIFT
+        first = device * self.tenant_count
+        if tenant is None:
+            last = first + self.tenant_count
+        else:
+            first += tenant
+            last = first + 1
+        bounds = _np.array((first, last), dtype=_np.int64) << _PACK_SHIFT
         parts = []
         for segment in self._segments:
-            low = int(_np.searchsorted(segment, low_key, side="left"))
-            high = int(_np.searchsorted(segment, high_key, side="left"))
+            low, high = segment.searchsorted(bounds)
             if high > low:
                 parts.append(segment[low:high])
+        low_key, high_key = bounds
         pending = self._pending[:self._pending_count]
         matches = pending[(pending >= low_key) & (pending < high_key)]
         if matches.shape[0]:
             parts.append(matches)
         if not parts:
             return _np.empty(0, dtype=_np.int64)
-        slots = (parts[0] if len(parts) == 1
-                 else _np.concatenate(parts)) & _PACK_MASK
-        return _sorted_distinct(
-            slots[self.flow_active[slots]
-                  & (self.flow_device[slots] == device)])
+        slots, live = self._vouched(
+            parts[0] if len(parts) == 1 else _np.concatenate(parts))
+        return _sorted_distinct(slots[live])
 
-    def _index_add(self, slots, devices) -> None:
+    def _vouched(self, keys):
+        """The slots of packed ``keys``, and which of the entries the
+        flow arrays still vouch for: an active flow whose current
+        (device, tenant) cell is the key's."""
+        slots = keys & _PACK_MASK
+        cells = self.flow_device[slots] * _np.int64(self.tenant_count)
+        cells += self.flow_tenant[slots]
+        live = cells == keys >> _PACK_SHIFT
+        live &= self.flow_active[slots]
+        return slots, live
+
+    def _index_add(self, slots, devices, tenants) -> None:
         """Record placements; sorting into a segment is deferred until
         the pending keys outgrow :attr:`_flush_threshold`, so the sort
         is amortised over several epochs of churn."""
@@ -537,7 +569,9 @@ class FleetState:
             grown[:start] = self._pending[:start]
             self._pending = grown
         keys = self._pending[start:end]
-        _np.left_shift(devices, _PACK_SHIFT, out=keys)
+        _np.multiply(devices, self.tenant_count, out=keys)
+        keys += tenants
+        keys <<= _PACK_SHIFT
         keys |= slots
         self._pending_count = end
         if end >= self._flush_threshold:
@@ -548,20 +582,17 @@ class FleetState:
         """Freeze packed keys into one immutable sorted segment.
 
         One value ``np.sort`` (no argsort indirection) orders a copy of
-        the keys by device then slot, so ``packed`` may be reused.
-        Stale entries (departed or re-homed flows) linger until the
-        segment list grows long, then one compaction pass drops every
-        entry the ground-truth arrays no longer vouch for -- so index
-        size stays proportional to live flows plus a few epochs of
-        churn, even on very long runs.
+        the keys by cell then slot, so ``packed`` may be reused.  Stale
+        entries (departed or re-homed flows, slots refilled by another
+        tenant) linger until the segment list grows long, then one
+        compaction pass keeps only the entries whose cell is still
+        their flow's -- so index size stays proportional to live flows
+        plus a few epochs of churn, even on very long runs.
         """
         self._segments.append(_np.sort(packed))
         if len(self._segments) >= 48:
             packed = _np.concatenate(self._segments)
-            slots = packed & _PACK_MASK
-            keep = (self.flow_active[slots]
-                    & (self.flow_device[slots] == packed >> _PACK_SHIFT))
-            self._segments = [_np.sort(packed[keep])]
+            self._segments = [_np.sort(packed[self._vouched(packed)[1]])]
 
     def utilization(self, devices):
         return (self.load_units[devices].astype(_np.float64)
@@ -587,12 +618,11 @@ class FleetState:
 
         Inside an epoch's churn phase (:meth:`defer_deltas` ..
         :meth:`flush_deltas`) the part is only enqueued; the flush
-        fuses every queued part -- departures, arrivals, displaced and
-        migrated flows -- into one signed bincount pass.  ``np.bincount``
-        with float64 weights over (signed) integer rates is exact
-        (every partial sum magnitude < 2**53), so the int64 cast loses
-        nothing and the matrices stay bit-equal to a from-scratch
-        rebuild no matter how deltas interleave or batch.
+        folds every queued part -- departures, arrivals, displaced and
+        migrated flows -- into the aggregates.  The fold is int64
+        ``np.add.at`` / ``np.subtract.at`` over the touched cells, so
+        the matrices stay bit-equal to a from-scratch rebuild no matter
+        how deltas interleave or batch.
         """
         if self._deferring:
             self._delta_parts.append((devices, tenants, rates, sign))
@@ -604,47 +634,28 @@ class FleetState:
         self._deferring = True
 
     def flush_deltas(self) -> None:
-        """Fold every deferred part into the aggregates in one pass."""
+        """Fold every deferred part into the aggregates."""
         self._deferring = False
         if self._delta_parts:
             parts, self._delta_parts = self._delta_parts, []
             self._apply_parts(parts)
 
     def _apply_parts(self, parts) -> None:
-        tenant_count = self.tenant_count
-        size = self.total_devices * tenant_count
-        if len(parts) == 1:
-            devices, tenants, rates, sign = parts[0]
-            keys = devices * tenant_count + tenants
-            unit_delta = _np.bincount(
-                keys, weights=rates.astype(_np.float64), minlength=size,
-            ).astype(_np.int64).reshape(self.total_devices, tenant_count)
-            flow_delta = _np.bincount(keys, minlength=size).astype(
-                _np.int64).reshape(self.total_devices, tenant_count)
-            if sign < 0:
-                unit_delta = -unit_delta
-                flow_delta = -flow_delta
-        else:
-            keys = _np.concatenate([
-                part_devices * tenant_count + part_tenants
-                for part_devices, part_tenants, _, _ in parts])
-            rate_weights = _np.concatenate([
-                part_rates.astype(_np.float64) * part_sign
-                for _, _, part_rates, part_sign in parts])
-            flow_weights = _np.concatenate([
-                _np.full(part_rates.shape[0], float(part_sign))
-                for _, _, part_rates, part_sign in parts])
-            unit_delta = _np.bincount(
-                keys, weights=rate_weights, minlength=size,
-            ).astype(_np.int64).reshape(self.total_devices, tenant_count)
-            flow_delta = _np.bincount(
-                keys, weights=flow_weights, minlength=size,
-            ).astype(_np.int64).reshape(self.total_devices, tenant_count)
-        # load == per-device sum of tenant units, so the row sum of the
-        # int64 unit delta is the exact third bincount for free.
-        self.tenant_units += unit_delta
-        self.tenant_flows += flow_delta
-        self.load_units += unit_delta.sum(axis=1)
+        """Fold (devices, tenants, rates, sign) parts into the
+        aggregates in place: unbuffered int64 scatter-adds touch only
+        the cells a part names, where a ``minlength`` bincount would
+        pass over every (device, tenant) cell per part."""
+        tenant_count = _np.int64(self.tenant_count)
+        # Flat views of the C-contiguous matrices: writes land in them.
+        units = self.tenant_units.reshape(-1)
+        flows = self.tenant_flows.reshape(-1)
+        for devices, tenants, rates, sign in parts:
+            cells = devices * tenant_count
+            cells += tenants
+            fold = _np.add.at if sign > 0 else _np.subtract.at
+            fold(units, cells, rates)
+            fold(flows, cells, 1)
+            fold(self.load_units, devices, rates)
 
     def stats_weights(self):
         """Per-device (resident, non-resident) flow-count weights.
@@ -712,7 +723,7 @@ class FleetState:
         self.flow_tenant[slots] = tenants
         self.flow_device[slots] = devices
         self.flow_active[slots] = True
-        self._index_add(slots, devices)
+        self._index_add(slots, devices, tenants)
         self._apply_delta(devices, tenants, rates, sign=+1)
 
     def move_flows(self, slots, devices) -> None:
@@ -722,7 +733,7 @@ class FleetState:
         rates = self.flow_rate_units[slots]
         self._apply_delta(self.flow_device[slots], tenants, rates, sign=-1)
         self.flow_device[slots] = devices
-        self._index_add(slots, devices)
+        self._index_add(slots, devices, tenants)
         self._apply_delta(devices, tenants, rates, sign=+1)
 
     @property
@@ -816,6 +827,7 @@ class Orchestrator:
         if count == 0:
             return _np.empty(0, dtype=_np.int64)
         chosen = _np.empty(0, dtype=_np.int64)
+        merged = False
         for salt in range(64):
             need = count - int(chosen.shape[0])
             if need == 0:
@@ -835,8 +847,12 @@ class Orchestrator:
             candidates = candidates[state.flow_active[candidates]]
             if chosen.shape[0]:
                 candidates = candidates[~_np.isin(candidates, chosen)]
-            chosen = _np.concatenate([chosen, candidates[:need]])
-        return _np.sort(chosen)
+                chosen = _np.concatenate([chosen, candidates[:need]])
+                merged = True
+            else:
+                chosen = candidates[:need]
+        # One contributing round leaves its draw sorted and distinct.
+        return _np.sort(chosen) if merged else chosen
 
     def _arrivals(self, epoch: int, count: int, snapshot_util, alive,
                   draws=None) -> int:
@@ -898,8 +914,7 @@ class Orchestrator:
         # argmin then both answer 0), and the next in order is alive[1].
         coolest = int(_np.argmin(util))
         target = int(alive[coolest if coolest != hot_position else 1])
-        on_source = state.device_flows(source)
-        slots = on_source[state.flow_tenant[on_source] == tenant]
+        slots = state.device_flows(source, tenant)
         if not slots.shape[0]:
             return 0
         state.move_flows(
@@ -1007,9 +1022,9 @@ class Orchestrator:
     def _ts(self, epoch: int) -> int:
         return int(epoch) * self.spec.epoch_seconds * 10**12
 
-    def _epoch_stats(self, epoch: int, counters: Dict[str, int],
-                     violations: int) -> EpochStats:
-        """Fleet-wide stats over the resident per-device arrays.
+    def _observe(self, epoch: int) -> Dict[str, float]:
+        """Fleet-wide observation over the resident per-device arrays,
+        keyed by the :data:`EPOCH_GAUGES` names.
 
         Latency factors through per-device tables, so the flow
         population collapses to two integer weights per device
@@ -1039,59 +1054,27 @@ class Orchestrator:
                 if not (_np.array_equal(check_res, resident_weight)
                         and _np.array_equal(check_non, non_resident_weight)):
                     raise DeltaMismatch(epoch, "stats weight arrays")
-        flows = int(resident_weight.sum() + non_resident_weight.sum())
         values = _np.concatenate([resident_ns, non_resident_ns])
         value_weights = _np.concatenate(
             [resident_weight, non_resident_weight])
+        flows = int(value_weights.sum())
         p50, p99 = weighted_percentiles(values, value_weights, (0.50, 0.99))
-        mean_ns = (float((values * value_weights).sum() / flows)
-                   if flows else 0.0)
         alive = state.alive_devices()
         utilization = state.utilization(alive)
-        return EpochStats(
-            epoch=epoch,
-            flows=flows,
-            arrivals=counters.get("arrivals", 0),
-            departures=counters.get("departures", 0),
-            failures=counters.get("failures", 0),
-            drains=counters.get("drains", 0),
-            migrations=counters.get("migrations", 0),
-            pr_grants=counters.get("pr_grants", 0),
-            pr_deferred=counters.get("pr_deferred", 0),
-            scaled_up=counters.get("scaled_up", 0),
-            scaled_down=counters.get("scaled_down", 0),
-            alive_devices=int(alive.shape[0]),
-            offered_gbps=float(state.load_units.sum() / RATE_UNITS_PER_GBPS),
-            utilization_mean=float(utilization.mean()),
-            utilization_max=float(utilization.max()),
-            overloaded_devices=int((utilization > 1.0).sum()),
-            non_resident_flows=int(non_resident_weight.sum()),
-            p50_ns=p50,
-            p99_ns=p99,
-            mean_ns=mean_ns,
-            slo_violations=violations,
-        )
-
-    def _publish(self, stats: EpochStats) -> None:
-        metrics = self.context.metrics.namespace("fleet.epoch")
-        metrics.set_gauge("p50_ns", stats.p50_ns)
-        metrics.set_gauge("p99_ns", stats.p99_ns)
-        metrics.set_gauge("mean_ns", stats.mean_ns)
-        metrics.set_gauge("utilization_mean", stats.utilization_mean)
-        metrics.set_gauge("utilization_max", stats.utilization_max)
-        metrics.set_gauge("overloaded_devices", stats.overloaded_devices)
-        metrics.set_gauge("non_resident_flows", stats.non_resident_flows)
-        metrics.set_gauge("flows", stats.flows)
-        metrics.set_gauge("alive_devices", stats.alive_devices)
-        metrics.set_gauge("offered_gbps", stats.offered_gbps)
-        metrics.increment("arrivals", stats.arrivals)
-        metrics.increment("departures", stats.departures)
-        metrics.increment("failures", stats.failures)
-        metrics.increment("drains", stats.drains)
-        metrics.increment("migrations", stats.migrations)
-        metrics.increment("pr_grants", stats.pr_grants)
-        metrics.increment("scaled_up", stats.scaled_up)
-        metrics.increment("scaled_down", stats.scaled_down)
+        return {
+            "p50_ns": p50,
+            "p99_ns": p99,
+            "mean_ns": (float((values * value_weights).sum() / flows)
+                        if flows else 0.0),
+            "utilization_mean": float(utilization.mean()),
+            "utilization_max": float(utilization.max()),
+            "overloaded_devices": int(_np.count_nonzero(utilization > 1.0)),
+            "non_resident_flows": flows - int(resident_weight.sum()),
+            "flows": flows,
+            "alive_devices": int(alive.shape[0]),
+            "offered_gbps": float(
+                state.load_units.sum() / RATE_UNITS_PER_GBPS),
+        }
 
     def _update_digest(self) -> None:
         """Fold this epoch's state into the running fingerprint.
@@ -1152,12 +1135,18 @@ class Orchestrator:
             mode=self.mode, epochs=spec.epochs,
             flows=self.fleet_spec.flow_count, devices=state.total_devices)
         started = _time.perf_counter()
+        metrics = self.context.metrics.namespace("fleet.epoch")
+        gauges = [(name, metrics.gauge(name)) for name in _EPOCH_GAUGES]
+        step_counters = [(name, metrics.counter(name))
+                         for name in _EPOCH_COUNTERS]
+        scaled_up = metrics.counter("scaled_up")
+        scaled_down = metrics.counter("scaled_down")
         epochs: List[EpochStats] = []
         total_violations = 0
         for epoch in range(spec.epochs):
             span = trace.begin("orchestrator.epoch", ts_ps=self._ts(epoch),
                                parent=run_span, epoch=epoch)
-            counters: Dict[str, int] = {}
+            counters: Dict[str, int] = {"failures": 0, "drains": 0}
             # Start-of-epoch observation every placement decision reads.
             snapshot_util = (state.load_units.astype(_np.float64)
                              / state.capacity_units)
@@ -1166,8 +1155,8 @@ class Orchestrator:
             # every control decision in the churn phase reads the
             # start-of-epoch observation anyway (a real control loop
             # acts on its last scrape), so the whole churn set folds
-            # into the aggregates in ONE fused signed bincount pass at
-            # the flush below -- the delta-vectorized hot path.
+            # into the aggregates at the flush below -- the
+            # delta-vectorized hot path.
             state.defer_deltas()
 
             # 1. Device failure (hard: flows re-placed, device lost).
@@ -1248,19 +1237,22 @@ class Orchestrator:
             #    autoscaler acted on; its capacity moves land in the
             #    NEXT epoch's observation (a control loop acts on its
             #    last scrape), so each epoch costs exactly one stats
-            #    pass.
-            stats = self._epoch_stats(epoch, counters, 0)
-            self._publish(stats)
+            #    pass, and its EpochStats is built once, after the
+            #    autoscaler has answered.
+            observed = self._observe(epoch)
+            for name, gauge in gauges:
+                gauge.set(observed[name])
+            for name, counter in step_counters:
+                counter.increment(counters[name])
             report = self.monitor.evaluate(self.context.metrics, trace)
-            total_violations += len(report.violations)
+            violations = len(report.violations)
+            total_violations += violations
             up, down = self._autoscale(epoch, report)
-            if up or down:
-                metrics = self.context.metrics.namespace("fleet.epoch")
-                metrics.increment("scaled_up", up)
-                metrics.increment("scaled_down", down)
-            stats = _dataclasses.replace(
-                stats, scaled_up=up, scaled_down=down,
-                slo_violations=len(report.violations))
+            scaled_up.increment(up)
+            scaled_down.increment(down)
+            stats = EpochStats(
+                epoch=epoch, scaled_up=up, scaled_down=down,
+                slo_violations=violations, **counters, **observed)
             epochs.append(stats)
             self._update_digest()
             trace.end(span, ts_ps=self._ts(epoch + 1),

@@ -266,8 +266,10 @@ def run_orchestrator_service(scenario: Scenario, *,
     else:
         result, report = _run_and_check()
     elapsed = time.perf_counter() - start
+    # ``to_json`` emits plain JSON types only (tests pin it), so the
+    # payload needs no ``_normalise`` round trip.
     with phase("service.payload"):
-        payload = _normalise(result.to_json())
+        payload = result.to_json()
     return ServiceResult(
         kind="fleet", scenario=scenario, result=result, payload=payload,
         slo=report, elapsed_s=elapsed, context=run_context,

@@ -34,6 +34,14 @@ SMALL_SPEC = OrchestratorSpec(epochs=18, churn=0.03, failure_every=5,
                               drain_every=7, pr_budget=8, scale_step=2)
 
 
+def flows_oracle(state, device, tenant=None):
+    """The O(flows) scan :meth:`FleetState.device_flows` must equal."""
+    mask = state.flow_active & (state.flow_device == device)
+    if tenant is not None:
+        mask &= state.flow_tenant == tenant
+    return np.flatnonzero(mask)
+
+
 @pytest.fixture(scope="module")
 def small_runs():
     return {mode: run_orchestrator(SMALL_FLEET, SMALL_SPEC, mode=mode)
@@ -133,9 +141,16 @@ class TestFleetState:
     def _state(self):
         return FleetState(SMALL_FLEET, SMALL_SPEC)
 
-    def _flows_oracle(self, state, device):
-        return np.flatnonzero(
-            state.flow_active & (state.flow_device == device))
+    def _assert_reads_exact(self, state, devices):
+        """Device reads and every (device, tenant) cell read of
+        ``devices`` equal the flatnonzero scan."""
+        for device in devices:
+            assert np.array_equal(state.device_flows(device),
+                                  flows_oracle(state, device))
+            for tenant in range(state.tenant_count):
+                assert np.array_equal(
+                    state.device_flows(device, tenant),
+                    flows_oracle(state, device, tenant))
 
     def test_initial_aggregates_match_oracle(self):
         state = self._state()
@@ -161,15 +176,34 @@ class TestFleetState:
             if moved.shape[0]:
                 state.move_flows(moved, np.full(
                     moved.shape[0], 1, dtype=np.int64))
-            for device in (0, 1, 2, state.total_devices - 1):
-                assert np.array_equal(
-                    state.device_flows(device),
-                    self._flows_oracle(state, device))
+            self._assert_reads_exact(
+                state, (0, 1, 2, state.total_devices - 1))
 
     def _assert_index_exact(self, state):
-        for device in range(state.total_devices):
-            assert np.array_equal(state.device_flows(device),
-                                  self._flows_oracle(state, device))
+        self._assert_reads_exact(state, range(state.total_devices))
+
+    def _refill_with_other_tenants(self, state, slots):
+        """Depart ``slots`` and refill them on their own devices under
+        the next tenant: the LIFO free stack hands the same slots back,
+        so each leaves a stale entry in its old cell of its device."""
+        devices = state.flow_device[slots]
+        tenants = (state.flow_tenant[slots] + 1) % state.tenant_count
+        state.remove_flows(slots)
+        state.add_flows(np.full(slots.shape[0], 5, dtype=np.int64),
+                        tenants, devices)
+        assert np.array_equal(state.flow_device[slots], devices)
+        assert np.array_equal(state.flow_tenant[slots], tenants)
+
+    def test_device_flows_after_a_slot_is_refilled_by_another_tenant(self):
+        state = self._state()
+        slots = state.device_flows(2)[:3]
+        old = state.flow_tenant[slots].copy()
+        self._refill_with_other_tenants(state, slots)
+        self._assert_index_exact(state)
+        for slot, tenant in zip(slots, old):
+            assert slot not in state.device_flows(2, int(tenant))
+            assert slot in state.device_flows(
+                2, int(state.flow_tenant[slot]))
 
     def test_device_flows_dedupes_a_round_trip_across_segment_and_pending(self):
         # A -> B -> A inside one flush window: slot keys for A sit in
@@ -183,6 +217,8 @@ class TestFleetState:
         assert len(state._segments) == 1 and state._pending_count > 0
         self._assert_index_exact(state)
         assert np.isin(home, state.device_flows(3)).all()
+        tenant = int(state.flow_tenant[home[0]])
+        assert home[0] in state.device_flows(3, tenant)
 
     def test_device_flows_over_many_pending_batches(self):
         state = self._state()
@@ -199,22 +235,33 @@ class TestFleetState:
         self._assert_index_exact(state)
 
     def test_device_flows_through_segment_compaction(self):
+        # Moves across devices and refills under other tenants on the
+        # same device both leave stale entries; a compaction must keep
+        # exactly the entries whose cell is still their flow's own.
         state = self._state()
         stream = ChurnStream(13)
-        largest = compactions = 0
+        compactions = []
+        flush = state._index_flush
+
+        def checked_flush(packed):
+            before = len(state._segments)
+            flush(packed)
+            if len(state._segments) < before:
+                compactions.append(before + 1)
+                _, live = state._vouched(state._segments[0])
+                assert live.all()
+                self._assert_index_exact(state)
+
+        state._index_flush = checked_flush
         for batch in range(400):
             slots = np.unique(stream.picks(batch, "slot", 3_000,
                                            SMALL_FLEET.flow_count))
             state.move_flows(slots, stream.picks(
                 batch, "dev", slots.shape[0], state.base_devices))
-            segments = len(state._segments)
-            if segments < largest:
-                compactions += 1
-                self._assert_index_exact(state)
-                if compactions == 2:
-                    break
-            largest = segments
-        assert compactions == 2
+            self._refill_with_other_tenants(state, slots[:50])
+            if len(compactions) == 2:
+                break
+        assert compactions == [48, 48]
         self._assert_index_exact(state)
 
     def test_deferred_deltas_equal_eager_deltas(self):
@@ -453,8 +500,8 @@ class TestConservationInvariants:
             snapshot[alive[coolest]] = snapshot[alive[coolest + 2]] = 1.5
             source, target = int(alive[3]), int(alive[coolest])
         tenant = int(np.argmax(state.tenant_units[source]))
-        moved = state.device_flows(source)
-        moved = moved[state.flow_tenant[moved] == tenant]
+        moved = flows_oracle(state, source, tenant)
+        assert np.array_equal(state.device_flows(source, tenant), moved)
         assert orchestrator._maybe_migrate(0, snapshot, alive) == 1
         assert np.array_equal(state.flow_device[moved],
                               np.full(moved.shape[0], target))

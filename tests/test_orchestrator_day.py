@@ -8,8 +8,9 @@ import pytest
 
 from repro.platform.fleet import production_fleet
 from repro.runtime.fleet import SHAPE_MEMO, FleetSimulation, FleetSpec
+from repro.runtime.orchestrator import Orchestrator
 from repro.scenario.spec import Scenario
-from repro.service.runs import run_scenario
+from repro.service.runs import _normalise, run_scenario
 
 #: sha256 of ``run_scenario(day(seed, policy)).response_text()``.  The
 #: modes of one day are compared with each other elsewhere; these pin
@@ -62,6 +63,41 @@ class TestDayResponseBytes:
         SHAPE_MEMO.clear()
         assert response_sha(8, "least-loaded") == warm
         assert warm == GOLDEN_DAYS[8, "least-loaded"]
+
+
+#: The only types a day payload may hold: the service layer serves
+#: ``to_json()`` as is, with no JSON round trip to fold tuples into
+#: lists or numpy scalars into numbers.
+PLAIN_JSON_TYPES = (dict, list, str, int, float, bool, type(None))
+
+
+def non_plain_values(value, path="$"):
+    """Paths of every value whose exact type is not plain JSON."""
+    if type(value) not in PLAIN_JSON_TYPES:
+        return [f"{path}: {type(value).__name__}"]
+    if type(value) is dict:
+        return [bad for key, item in value.items()
+                for bad in ([f"{path}: key {key!r}"]
+                            if type(key) is not str else [])
+                + non_plain_values(item, f"{path}.{key}")]
+    if type(value) is list:
+        return [bad for index, item in enumerate(value)
+                for bad in non_plain_values(item, f"{path}[{index}]")]
+    return []
+
+
+class TestDayPayloadTypes:
+    @pytest.mark.parametrize("seed,policy", sorted(GOLDEN_DAYS))
+    def test_to_json_holds_plain_json_types_only(self, seed, policy):
+        payload = Orchestrator.from_scenario(day(seed, policy)).run().to_json()
+        assert non_plain_values(payload) == []
+        assert _normalise(payload) == payload
+
+    def test_the_type_walk_sees_tuples_and_numpy_scalars(self):
+        assert non_plain_values(
+            {"a": (1,), "b": [np.float64(1.0)], "c": {"d": np.int64(2)},
+             "e": [True, None, "x", 1, 1.5]}
+        ) == ["$.a: tuple", "$.b[0]: float64", "$.c.d: int64"]
 
 
 class TestShapeMemo:
