@@ -3,7 +3,7 @@
 Runs the conformance fuzzer (:mod:`repro.scenario.fuzz`) as a CI gate:
 
 * a **clean campaign** of 200 random valid scenarios cross-checked for
-  serialisation exactness, vector-vs-DES equality (results, traces,
+  serialisation exactness, kernel-vs-oracle equality (results, traces,
   metrics), cache-tier identity, and baseline-framework capability
   invariants -- zero failures allowed, under a 60 s budget;
 * an **injected-failure campaign** that plants an artificial bug (any

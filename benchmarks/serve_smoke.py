@@ -15,10 +15,10 @@ the build when any regresses:
   violations: request p99 under 500 ms, no error blow-up, no shedding.
 * **cold sweeps go through the fused planner** -- a cold-cache sweep
   request must batch its vector-eligible points in-process
-  (``serve.sweep.fused_points`` counts them), un-fusable DES points
-  must run one at a time (``serve.sweep.per_point_points`` grows by one
-  per DES request), and every point must run inside the daemon's own
-  process: it has no child processes afterwards.
+  (``serve.sweep.fused_points`` counts them), traced points must run
+  one at a time (``serve.sweep.per_point_points`` grows by one per
+  one-point traced request), and every point must run inside the
+  daemon's own process: it has no child processes afterwards.
 * **memo hits are the cold bytes** -- a repeat answered by the response
   memo (``X-Coalesced: memo``) must return exactly the bytes of its
   cold compute and of the in-process service layer.
@@ -69,19 +69,21 @@ LOAD_SCENARIOS = tuple(
 )
 
 #: A deliberately slow, previously-unseen scenario for the coalescing
-#: burst: the DES oracle loop over many packets keeps the leader in flight
-#: long enough that every concurrent identical request attaches to it.
+#: burst: traced points run one at a time, each with bounded buffers, so
+#: 120 of them over many packets keep the leader in flight long enough
+#: that every concurrent identical request attaches to it.
 COALESCE = Scenario(kind="sweep", apps=("sec-gateway",),
-                    devices=("device-a",), engine="des",
-                    workload=WorkloadSpec(packet_sizes=(96,),
-                                          packets_per_point=150_000))
+                    devices=("device-a",),
+                    workload=WorkloadSpec(
+                        packet_sizes=tuple(range(97, 97 + 120 * 8, 8)),
+                        packets_per_point=150_000, trace=True))
 
 #: A scenario no other phase sends, for the memo's byte-identity check.
 MEMO = BASE.replace(workload=WorkloadSpec(packet_sizes=(96, 1500),
                                           packets_per_point=200))
 
-#: One-point DES-engine sweeps that must each run on the per-point path.
-DES_SIZES = ((80,), (112,))
+#: One-point traced sweeps that must each run on the per-point path.
+TRACED_SIZES = ((80,), (112,))
 
 CLI_REPEATS = 2
 WARM_SAMPLES = 50
@@ -131,8 +133,8 @@ def coalescing_burst(handle, client: ServeClient) -> dict:
     """A BURST of identical never-seen requests must run exactly once.
 
     The leader goes first; once ``/stats`` shows its execution in
-    flight (the DES-tier scenario keeps it there for hundreds of
-    milliseconds), the remaining BURST-1 requests fire concurrently and
+    flight (the traced per-point scenario keeps it there for hundreds
+    of milliseconds), the remaining BURST-1 requests fire concurrently and
     must all attach to it rather than executing.
     """
     before = handle.daemon.coalescer.counters()
@@ -172,29 +174,28 @@ def coalescing_burst(handle, client: ServeClient) -> dict:
 
 
 def fused_planner_stats(client: ServeClient) -> dict:
-    """Planner provenance after the warm phase plus two DES requests.
+    """Planner provenance after the warm phase plus two traced requests.
 
     ``time_warm_daemon`` already pushed BASE through cold, so its
     vector-eligible points must show up as fused.  Two distinct
-    DES-engine scenarios then force the per-point path twice, inside
-    the daemon's process.
+    one-point traced scenarios then force the per-point path twice,
+    inside the daemon's process.
     """
-    des_scenarios = tuple(
+    traced_scenarios = tuple(
         Scenario(kind="sweep", apps=("sec-gateway",), devices=("device-a",),
-                 engine="des",
                  workload=WorkloadSpec(packet_sizes=sizes,
-                                       packets_per_point=100))
-        for sizes in DES_SIZES
+                                       packets_per_point=100, trace=True))
+        for sizes in TRACED_SIZES
     )
     before = client.stats()["metrics"]["serve"]["sweep"]
-    for scenario in des_scenarios:
+    for scenario in traced_scenarios:
         response = client.run_scenario(scenario, endpoint="sweep")
         assert response.status == 200, response.body
     serve = client.stats()["metrics"]["serve"]
     return {
         "fused_points": serve["sweep"]["fused_points"],
         "fused_groups": serve["sweep"]["fused_groups"],
-        "des_per_point_points": (
+        "traced_per_point_points": (
             serve["sweep"].get("per_point_points", 0)
             - before.get("per_point_points", 0)),
         "child_processes": len(multiprocessing.active_children()),
@@ -283,10 +284,10 @@ def main() -> int:
               "fused planner (serve.sweep.fused_points == 0)",
               file=sys.stderr)
         failed = True
-    if fused["des_per_point_points"] != len(DES_SIZES):
-        print(f"FAIL: {fused['des_per_point_points']} points ran per-point "
-              f"across {len(DES_SIZES)} one-point DES-engine requests "
-              f"(expected {len(DES_SIZES)})", file=sys.stderr)
+    if fused["traced_per_point_points"] != len(TRACED_SIZES):
+        print(f"FAIL: {fused['traced_per_point_points']} points ran "
+              f"per-point across {len(TRACED_SIZES)} one-point traced "
+              f"requests (expected {len(TRACED_SIZES)})", file=sys.stderr)
         failed = True
     if fused["child_processes"]:
         print(f"FAIL: the daemon left {fused['child_processes']} child "

@@ -19,8 +19,7 @@ Gives operators the day-to-day views the library computes:
   (the :meth:`repro.obs.analyze.TraceAnalysis.flame` fold);
 * ``sweep --apps ... --devices ...`` -- run an (apps x devices x
   packet-sizes) sweep through the cached
-  :class:`repro.runtime.sweep.SweepRunner` (``--engine`` picks the
-  vector kernel or the DES oracle loop);
+  :class:`repro.runtime.sweep.SweepRunner`;
 * ``fleet`` -- shard millions of Zipf-skewed flows across the
   production fleet under several load-balancing policies (``--slo``
   evaluates service objectives and exits nonzero on violations);
@@ -366,7 +365,7 @@ def _sweep_scenario(args):
         _reject_scenario_conflicts([
             ("--apps", args.apps), ("--devices", args.devices),
             ("--sizes", args.sizes), ("--packets", args.packets),
-            ("--native", args.native), ("--engine", args.engine),
+            ("--native", args.native),
         ])
         scenario = _load_scenario_arg(args.scenario, "sweep")
         if args.trace_out and not scenario.workload.trace:
@@ -382,7 +381,6 @@ def _sweep_scenario(args):
         kind="sweep",
         apps=tuple(args.apps),
         devices=tuple(args.devices),
-        engine=args.engine if args.engine is not None else "auto",
         workload=WorkloadSpec(
             packet_sizes=(tuple(args.sizes) if args.sizes
                           else (64, 128, 256, 512, 1024)),
@@ -832,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scenario",
                        help="declarative scenario JSON describing the sweep "
                             "(replaces --apps/--devices/--sizes/--packets/"
-                            "--native/--engine; see docs/scenarios.md)")
+                            "--native; see docs/scenarios.md)")
     sweep.add_argument("--apps", nargs="+",
                        help="application names (see `devices`/docs)")
     sweep.add_argument("--devices", nargs="+",
@@ -851,10 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace every point; write the stitched span "
                             "tree (JSONL) here")
     sweep.add_argument("--json", help="write per-point results JSON here")
-    sweep.add_argument("--engine", choices=("auto", "vector", "des"),
-                       help="implementation for cache misses: auto picks the "
-                            "vector kernel when the chain is analytic, des "
-                            "the per-transaction oracle loop")
     sweep.add_argument("--slo",
                        help="check results against SLO specs: a JSON file "
                             "or 'default'; violations exit with code 4")
@@ -947,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 4096)")
 
     fuzz = commands.add_parser(
-        "fuzz", help="differential conformance fuzzing across engine tiers")
+        "fuzz", help="differential conformance fuzzing across execution paths")
     fuzz.add_argument("--budget", type=int, default=200,
                       help="scenarios to generate and cross-check "
                            "(default 200)")

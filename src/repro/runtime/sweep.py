@@ -17,10 +17,12 @@ bookkeeping:
   process, and merges results in plan order.  Traced points skip the
   cache.
 
-Each cold point executes on one of two implementations: the closed-form
-numpy kernel (:mod:`repro.sim.vector`), which batches every untraced
-analytic point of a (chain, packet count) group into one launch, or the
-per-Transaction oracle loop for ``engine="des"`` and non-analytic chains.
+Each cold point executes on one of two implementations, and
+:func:`repro.sim.vector.chain_supports_vector` alone picks it: the
+closed-form numpy kernel (:mod:`repro.sim.vector`) runs every analytic
+chain, batching the untraced points of a (chain, packet count) group
+into one launch; the per-Transaction oracle loop runs only chains whose
+stages override ``process`` (tests build those, production never does).
 Traced points run one at a time -- the kernel still replays their
 untraced tail -- because each needs its own context and per-packet
 spans.  The kernel is pinned to exact integer equality against the
@@ -42,7 +44,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.obs.profiler import phase as _profile_phase
 from repro.runtime.context import SimContext, isolated_context_stack
-from repro.sim.vector import ENGINES, chain_supports_vector
+from repro.sim.vector import chain_supports_vector
 
 #: Paper sweep of Figure 17/18: the default packet-size axis.
 DEFAULT_PACKET_SIZES: Tuple[int, ...] = (64, 128, 256, 512, 1024)
@@ -54,14 +56,7 @@ DEFAULT_PACKET_SIZES: Tuple[int, ...] = (64, 128, 256, 512, 1024)
 
 @dataclass(frozen=True, init=False)
 class SweepPoint:
-    """One independent unit of sweep work.
-
-    ``engine`` picks the implementation for the point's untraced bulk
-    (``auto`` / ``vector`` / ``des`` -- see :mod:`repro.sim.vector`).
-    It is deliberately *not* part of the cache key and not serialised in
-    results: the vector kernel is pinned to exact equality against the
-    oracle loop, so the engine is invisible in the output.
-    """
+    """One independent unit of sweep work."""
 
     app: str
     device: str
@@ -69,18 +64,17 @@ class SweepPoint:
     packet_count: int
     with_harmonia: bool = True
     trace: bool = False
-    engine: str = "auto"
 
     def __init__(self, app: str, device: str, packet_size_bytes: int,
                  packet_count: int, with_harmonia: bool = True,
-                 trace: bool = False, engine: str = "auto") -> None:
+                 trace: bool = False) -> None:
         # One dict update, where the generated frozen __init__ makes an
         # object.__setattr__ call per field: every served sweep builds
         # a point per point of its plan, warm or cold.
         self.__dict__.update(
             app=app, device=device, packet_size_bytes=packet_size_bytes,
             packet_count=packet_count, with_harmonia=with_harmonia,
-            trace=trace, engine=engine)
+            trace=trace)
 
     def label(self) -> str:
         variant = "harmonia" if self.with_harmonia else "native"
@@ -486,18 +480,26 @@ def run_point(point: SweepPoint) -> Dict[str, Any]:
     transaction ids at 0, so the ids a traced point embeds in its spans
     cannot depend on whatever ran earlier in this process.  A traced
     point's live span records ride under ``spans``.  The runner's
-    per-point path and the differential fuzzer (which pins the engine on
-    the point it passes in) both call this.
+    per-point path calls this.
     """
-    from repro.sim.pipeline import run_packet_sweep
-
     chain = _chain_for(point)
+    return _run_point(point, chain, chain_supports_vector(chain))
+
+
+def _run_point(point: SweepPoint, chain, use_vector: bool) -> Dict[str, Any]:
+    """:func:`run_point` on ``chain`` (the point's) and a chosen path.
+
+    The differential fuzzer passes ``use_vector=False`` to force the
+    per-Transaction oracle on an analytic chain, traced head included.
+    """
+    from repro.sim.pipeline import _run_packet_sweep
+
     with _POINT_LOCK, _profile_phase("sweep.point"), isolated_context_stack():
         context = SimContext(name=point.label(), trace=True) if point.trace else None
-        throughput_bps, mean_latency_ns = run_packet_sweep(
+        throughput_bps, mean_latency_ns = _run_packet_sweep(
             chain, packet_size_bytes=point.packet_size_bytes,
             packet_count=point.packet_count, context=context,
-            engine=point.engine,
+            use_vector=use_vector,
         )
     entry: Dict[str, Any] = {
         "throughput_bps": throughput_bps,
@@ -523,21 +525,18 @@ def partition_fusable(points: Sequence[SweepPoint],
 
     A point fuses when its untraced bulk would run on the vector kernel
     anyway: no trace requested (a traced point needs its own context and
-    per-packet spans, so it keeps the per-point path) and an engine of
-    ``auto``/``vector`` on a chain the kernel supports.  Fusable points
-    group by (tailored chain, packet_count) -- one batched kernel call
-    per group, bucketed by count so no padding packets exist -- with
-    plan order preserved inside each group.  Everything else (traces,
-    forced DES, non-analytic chains) lands in ``per_point`` for
-    :func:`run_point`; ``engine='vector'`` on an unsupported chain is
-    deliberately routed there too, so it raises the same
-    :class:`ConfigurationError` it always did.
+    per-packet spans, so it keeps the per-point path) on a chain the
+    kernel supports.  Fusable points group by (tailored chain,
+    packet_count) -- one batched kernel call per group, bucketed by
+    count so no padding packets exist -- with plan order preserved
+    inside each group.  Everything else (traces, non-analytic chains)
+    lands in ``per_point`` for :func:`run_point`.
     """
     groups: "OrderedDict[FuseKey, List[int]]" = OrderedDict()
     per_point: List[int] = []
     for index in indices:
         point = points[index]
-        if not point.trace and point.engine != "des":
+        if not point.trace:
             chain = _chain_for(point)
             if chain_supports_vector(chain):
                 key = ((point.app, point.device, point.with_harmonia),
@@ -617,7 +616,7 @@ class SweepResult:
         #: Execution provenance (how the cold work ran), deliberately
         #: kept out of :meth:`to_json`: cache-miss points fused through
         #: the batched kernel, batched kernel launches, and points run
-        #: one at a time (traced, ``des``, or non-analytic).
+        #: one at a time (traced or non-analytic).
         self.fused_points = fused_points
         self.fused_groups = fused_groups
         self.per_point_points = per_point_points
@@ -713,8 +712,8 @@ class SweepRunner:
     untraced points group by (tailored chain, packet_count) and execute
     through the batched kernel
     (:func:`repro.sim.vector.run_packet_sweep_vector_batch`), one kernel
-    launch per group.  The remainder (traced points, forced DES,
-    non-analytic chains) runs per-point through :func:`run_point`.
+    launch per group.  The remainder (traced points, non-analytic
+    chains) runs per-point through :func:`run_point`.
 
     Results are merged in plan order no matter how they executed, and
     the batched kernel is pinned bit-exact to the per-point path, so
@@ -724,23 +723,14 @@ class SweepRunner:
 
     def __init__(self, plan: SweepPlan,
                  cache: Optional[SweepCache] = None,
-                 use_cache: bool = True, engine: str = "auto") -> None:
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown sweep engine {engine!r}; choose from "
-                f"{', '.join(ENGINES)}"
-            )
+                 use_cache: bool = True) -> None:
         self.plan = plan
         self.cache = cache if cache is not None else DEFAULT_CACHE
         self.use_cache = use_cache
-        self.engine = engine
 
     def run(self) -> SweepResult:
         with _profile_phase("sweep.plan"):
             points = self.plan.expand()
-            if self.engine != "auto":
-                points = [dataclasses.replace(point, engine=self.engine)
-                          for point in points]
             # Chains and their signatures are resolved through the
             # process-wide memo: built once per (app, device, variant),
             # which is cheap relative to a point's simulation and exactly
@@ -818,7 +808,6 @@ class SweepRunner:
 
 
 def run_plan(plan: SweepPlan, cache: Optional[SweepCache] = None,
-             use_cache: bool = True, engine: str = "auto") -> SweepResult:
+             use_cache: bool = True) -> SweepResult:
     """Convenience wrapper: build a runner and run the plan once."""
-    return SweepRunner(plan, cache=cache, use_cache=use_cache,
-                       engine=engine).run()
+    return SweepRunner(plan, cache=cache, use_cache=use_cache).run()

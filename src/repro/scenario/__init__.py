@@ -22,7 +22,6 @@ from repro.scenario.spec import (
     require_app,
     require_app_name,
     require_device,
-    require_engine,
     save_scenario,
 )
 
@@ -65,6 +64,5 @@ __all__ = [
     "require_app",
     "require_app_name",
     "require_device",
-    "require_engine",
     "save_scenario",
 ]

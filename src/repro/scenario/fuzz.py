@@ -19,12 +19,12 @@ starting from scratch.
 
 Each scenario passes through four conformance checks:
 
-* **serialization** -- canonical-JSON round trip is the identity, the
-  canonical text is a fixpoint, and :meth:`Scenario.scenario_id` is
-  invariant under the engine field;
-* **kernel-oracle** -- every vector-eligible point runs on the forced
-  ``des`` engine (the oracle) and the forced ``vector`` engine (a
-  one-row kernel call); entries must match **exactly** -- floats, and
+* **serialization** -- canonical-JSON round trip is the identity and
+  the canonical text is a fixpoint;
+* **kernel-oracle** -- every vector-eligible point runs twice through
+  the runner's private per-point seam: once forced onto the
+  per-Transaction oracle (traced head included) and once on the kernel
+  (a one-row call); entries must match **exactly** -- floats, and
   every span record compared as its encoded bytes (so ``1`` vs ``1.0``
   or ``0.0`` vs ``-0.0`` counts as a mismatch) -- as must the stage
   occupancy/statistics each leaves on the chain, and the first point's
@@ -386,27 +386,23 @@ class DifferentialFuzzer:
     # --- checks ---------------------------------------------------------
 
     def check_serialization(self, scenario: Scenario) -> Optional[str]:
-        """Canonical JSON round trip + engine-free identity."""
+        """Canonical JSON round trip is the identity and a fixpoint."""
         text = scenario.canonical_json()
         clone = loads_scenario(text, source="<round-trip>")
         if clone != scenario:
             return "canonical JSON round trip changed the scenario"
         if clone.canonical_json() != text:
             return "canonical JSON is not a serialisation fixpoint"
-        base_id = scenario.scenario_id()
-        for engine in ("auto", "vector", "des"):
-            variant = scenario.replace(engine=engine)
-            if variant.scenario_id() != base_id:
-                return f"scenario_id depends on engine={engine!r}"
         return None
 
     def check_kernel_oracle(self, scenario: Scenario) -> Optional[str]:
         """The vector kernel must match the per-Transaction oracle exactly.
 
-        Every vector-eligible point runs twice through :func:`run_point`:
-        forced ``des`` (the oracle loop) and forced ``vector`` (a one-row
-        kernel call, behind the traced head for traced points).  Result
-        entries (span records as their encoded bytes) and the stage
+        Every vector-eligible point runs twice through the runner's
+        private twin of :func:`run_point`: forced onto the oracle loop,
+        and on the kernel (a one-row call, behind the traced head for
+        traced points).  Result entries (span records as their encoded
+        bytes) and the stage
         occupancy/statistics each run leaves on the chain must agree, and
         so must the first point's metrics snapshot and trace export.  Untraced points are then grouped the
         way the fused planner groups them (same tailored chain, same
@@ -418,7 +414,7 @@ class DifferentialFuzzer:
         if scenario.kind != "sweep":
             return None
         from repro.runtime.context import isolated_context_stack
-        from repro.runtime.sweep import point_chain, run_point
+        from repro.runtime.sweep import _run_point, point_chain
         from repro.sim.pipeline import reset_transaction_ids
         from repro.sim.vector import (chain_supports_vector,
                                       run_packet_sweep_vector_batch)
@@ -429,11 +425,9 @@ class DifferentialFuzzer:
             chain = point_chain(point)
             if not chain_supports_vector(chain):
                 continue
-            oracle = _encoded(
-                run_point(dataclasses.replace(point, engine="des")))
+            oracle = _encoded(_run_point(point, chain, use_vector=False))
             oracle_state = _stage_state(chain)
-            kernel = _encoded(
-                run_point(dataclasses.replace(point, engine="vector")))
+            kernel = _encoded(_run_point(point, chain, use_vector=True))
             if kernel != oracle:
                 diff = sorted(key for key in set(oracle) | set(kernel)
                               if oracle.get(key) != kernel.get(key))
@@ -474,8 +468,8 @@ class DifferentialFuzzer:
         from repro.runtime.sweep import point_chain
 
         chain = point_chain(point)
-        oracle = _observable_surface(chain, point, "des")
-        kernel = _observable_surface(chain, point, "vector")
+        oracle = _observable_surface(chain, point, use_vector=False)
+        kernel = _observable_surface(chain, point, use_vector=True)
         if oracle != kernel:
             what = ("trace export" if oracle[0] == kernel[0]
                     else "metrics snapshot")
@@ -497,8 +491,8 @@ class DifferentialFuzzer:
 
         plan = scenario.sweep_plan()
         cache = SweepCache()
-        cold = run_plan(plan, cache=cache, engine=scenario.engine)
-        warm = run_plan(plan, cache=cache, engine=scenario.engine)
+        cold = run_plan(plan, cache=cache)
+        warm = run_plan(plan, cache=cache)
         if plan.trace:
             if len(cache) or any(r.cached for r in warm.points):
                 return "a traced plan read or wrote the result cache"
@@ -693,8 +687,6 @@ class DifferentialFuzzer:
         if workload.trace:
             yield scenario.replace(workload=dataclasses.replace(
                 workload, trace=False))
-        if scenario.engine != "auto":
-            yield scenario.replace(engine="auto")
         if scenario.seed != 2_025:
             yield scenario.replace(seed=2_025)
 
@@ -822,20 +814,21 @@ def _stage_state(chain) -> List[Tuple[int, int, int]]:
              stage.busy_ps) for stage in chain.stages]
 
 
-def _observable_surface(chain, point, engine: str):
-    """(metrics snapshot, trace JSONL) of one traced point on ``engine``.
+def _observable_surface(chain, point, use_vector: bool):
+    """(metrics snapshot, trace JSONL) of one traced point on one path.
 
     Mirrors the isolation discipline of the sweep worker path: hidden
     context stack, transaction ids reset, one fresh context per run.
     """
     from repro.runtime.context import SimContext, isolated_context_stack
-    from repro.sim.pipeline import reset_transaction_ids, run_packet_sweep
+    from repro.sim.pipeline import _run_packet_sweep, reset_transaction_ids
 
     with isolated_context_stack():
         reset_transaction_ids()
         context = SimContext(name=point.label(), trace=True)
-        run_packet_sweep(
+        _run_packet_sweep(
             chain, packet_size_bytes=point.packet_size_bytes,
-            packet_count=point.packet_count, context=context, engine=engine,
+            packet_count=point.packet_count, context=context,
+            use_vector=use_vector,
         )
         return context.metrics.snapshot(), context.trace.export_jsonl()

@@ -11,8 +11,7 @@ serialisable place:
 * **what** runs -- ``kind`` (``sweep`` / ``fleet`` / ``build``) plus the
   ``apps`` and ``devices`` axes;
 * **how** it runs -- the :class:`WorkloadSpec` (packet sizes and counts,
-  Harmonia vs native datapath, tracing), the execution ``engine`` tier,
-  and the deterministic ``seed``;
+  Harmonia vs native datapath, tracing) and the deterministic ``seed``;
 * **who shares** the hardware -- the :class:`TenancySpec` (flows,
   tenants, PR slots, Zipf skew, offered load) and the fleet ``year``;
 * **how it is built** -- the :class:`BuildSpec` (CAD effort, packaged
@@ -23,12 +22,14 @@ through :func:`repro.adapters.toolchain.canonical_json` (sorted keys,
 minimal separators, the strict JSON value model), so equal scenarios
 produce equal bytes regardless of field order in the source file, and
 :meth:`Scenario.scenario_id` is the sha256 of those bytes **minus the
-engine field** -- the vector kernel is pinned to exact equality against
-the scalar DES path, so the execution tier is configuration, not
-identity (see ``docs/performance.md``).
+engine key**.  ``"engine"`` is a retired constant: the sweep once let a
+scenario pick the vector kernel or the per-Transaction oracle, but the
+kernel is pinned to exact equality against the oracle, so the choice
+could never change a result.  Files still carry ``"engine": "auto"``
+(and nothing else parses) so version-1 bytes and ids do not change.
 
 Validation is loud: every malformed field, unknown key, unknown
-application/device/engine name, or unsupported version raises
+application/device name, or unsupported version raises
 :class:`repro.errors.ConfigurationError` naming the valid choices.
 
 The existing layers consume scenarios rather than duplicating them:
@@ -49,7 +50,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.profiler import phase
-from repro.sim.vector import ENGINES
 
 #: Bump when the serialised layout changes incompatibly.
 SCENARIO_VERSION = 1
@@ -124,15 +124,6 @@ def require_device(name: str, variants: bool = False):
             f"unknown device {name!r}; known: "
             f"{', '.join(known_device_names())}"
         ) from None
-
-
-def require_engine(name: str) -> str:
-    """Engine-name check; returns the name or raises listing the tiers."""
-    if name not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {name!r}; known: {', '.join(ENGINES)}"
-        )
-    return name
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +347,8 @@ class EpochsSpec:
     and validation mirror
     :class:`repro.runtime.orchestrator.OrchestratorSpec`.
 
-    Unlike ``engine``, this section **is** part of scenario identity
-    when present -- orchestration changes what is computed, not how.
+    This section **is** part of scenario identity when present --
+    orchestration changes what is computed.
     Scenarios without it serialise exactly as before (the key is
     omitted), so every pre-existing scenario id is preserved.
     """
@@ -441,17 +432,13 @@ class Scenario:
     """One declarative, versioned description of a run.
 
     A scenario is *pure configuration*: two equal scenarios produce
-    byte-identical results, traces, and manifests on either engine, at
-    any build-farm worker count.  The ``engine`` field selects the
-    vector kernel or the DES oracle loop but is excluded from
-    :meth:`scenario_id` -- the two are pinned exactly equal, so they
-    cannot be part of identity.
+    byte-identical results, traces, and manifests at any build-farm
+    worker count.
     """
 
     kind: str
     apps: Tuple[str, ...] = ()
     devices: Tuple[str, ...] = ()
-    engine: str = "auto"
     seed: int = 2_025
     year: int = 2_024
     workload: WorkloadSpec = WorkloadSpec()
@@ -473,7 +460,6 @@ class Scenario:
                 f"unknown scenario kind {self.kind!r}; known: "
                 f"{', '.join(SCENARIO_KINDS)}"
             )
-        require_engine(self.engine)
         _expect_int(self.seed, "seed")
         _expect_int(self.year, "year")
         for name in self.apps:
@@ -496,14 +482,15 @@ class Scenario:
 
         The ``epochs`` key appears only when the section is present, so
         scenarios without orchestration serialise byte-for-byte as they
-        always did -- existing scenario ids are stable.
+        always did -- existing scenario ids are stable.  ``engine`` is
+        the retired constant ``"auto"``, kept for the same reason.
         """
         payload: Dict[str, Any] = {
             "version": self.version,
             "kind": self.kind,
             "apps": list(self.apps),
             "devices": list(self.devices),
-            "engine": self.engine,
+            "engine": "auto",
             "seed": self.seed,
             "year": self.year,
             "workload": self.workload.to_json(),
@@ -519,13 +506,11 @@ class Scenario:
         return canonical_dumps(self.to_json())
 
     def scenario_id(self) -> str:
-        """sha256 identity of the scenario's content, **excluding engine**.
+        """sha256 identity of the scenario's content.
 
-        The cache, the vector kernel and the DES oracle loop are pinned
-        to exact equality, so the engine choice changes how a scenario
-        runs, never what it computes -- like ``SweepPoint.engine``, it
-        stays out of every content key (see ``docs/performance.md``).
-        Computed once per object.
+        The retired ``engine`` key stays out, as it always has, so ids
+        minted before its retirement still match.  Computed once per
+        object.
         """
         scenario_id = self.__dict__.get("_scenario_id")
         if scenario_id is None:
@@ -546,8 +531,9 @@ class Scenario:
         """Parse and validate one scenario dict (any key order).
 
         Unknown keys, malformed values, unsupported versions, and
-        unknown app/device/engine names all raise
-        :class:`ConfigurationError` naming the valid alternatives.
+        unknown app/device names all raise :class:`ConfigurationError`
+        naming the valid alternatives.  ``"engine"`` may only be the
+        retired constant ``"auto"``, which is ignored.
         """
         with phase("scenario.validate"):
             if not isinstance(data, Mapping):
@@ -569,8 +555,12 @@ class Scenario:
             if "devices" in data:
                 kwargs["devices"] = _expect_str_tuple(data["devices"],
                                                       "devices")
-            if "engine" in data:
-                kwargs["engine"] = _expect_str(data["engine"], "engine")
+            if data.get("engine", "auto") != "auto":
+                raise ConfigurationError(
+                    f"'engine' is retired and must be \"auto\" (got "
+                    f"{data['engine']!r}): the vector kernel is pinned to "
+                    f"exact equality against the per-Transaction oracle, so "
+                    f"no other engine could change a result")
             if "seed" in data:
                 kwargs["seed"] = _expect_int(data["seed"], "seed")
             if "year" in data:
@@ -621,7 +611,7 @@ class Scenario:
 
         Every consumer -- ``SweepPlan.expand()``, the runner, the
         fuzzer -- sees points in this canonical (app, device, size)
-        order, with the scenario's engine applied to each point.
+        order.
         """
         self._require_kind("sweep")
         from repro.runtime.sweep import SweepPoint
@@ -632,7 +622,7 @@ class Scenario:
                 app=app, device=device, packet_size_bytes=size,
                 packet_count=workload.packets_per_point,
                 with_harmonia=workload.with_harmonia,
-                trace=workload.trace, engine=self.engine,
+                trace=workload.trace,
             )
             for app in self.apps
             for device in self.devices

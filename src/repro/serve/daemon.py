@@ -543,29 +543,39 @@ class ServingDaemon:
 
                 def _work() -> None:
                     try:
-                        # The sink is closed before the future resolves,
-                        # so the request reads it only once it is done.
-                        with recording(phases):
-                            outcome = run_scenario(
-                                scenario, cache=self.cache,
-                                store=self.store, slo=slo,
-                                trace_context=trace_ctx)
-                            self._record_execution(outcome)
-                            body = outcome.response_text().encode("utf-8")
-                        if (outcome.kind == "sweep"
-                                and not scenario.workload.trace
-                                and outcome.executed_points == 0):
-                            # A proven repeat: the result cache answered
-                            # every point, so these bytes are final.
-                            self.memo.store(
-                                memo_key, body, scenario_id,
-                                [point.cache_key
-                                 for point in outcome.result.points])
+                        try:
+                            # The sink is closed before the future
+                            # resolves, so the request reads it only once
+                            # it is done.
+                            with recording(phases):
+                                outcome = run_scenario(
+                                    scenario, cache=self.cache,
+                                    store=self.store, slo=slo,
+                                    trace_context=trace_ctx)
+                                self._record_execution(outcome)
+                                body = outcome.response_text().encode(
+                                    "utf-8")
+                            if (outcome.kind == "sweep"
+                                    and not scenario.workload.trace
+                                    and outcome.executed_points == 0):
+                                # A proven repeat: the result cache
+                                # answered every point, so these bytes
+                                # are final.
+                                self.memo.store(
+                                    memo_key, body, scenario_id,
+                                    [point.cache_key
+                                     for point in outcome.result.points])
+                        finally:
+                            # Free the slot before the future settles: the
+                            # client may send its next request as soon as
+                            # it reads this response.  The one release
+                            # point also means a ``resolve`` that raises
+                            # cannot release twice.
+                            self.admission.leave()
                         self.coalescer.resolve(key, future, body)
                     except BaseException as exc:
                         self.coalescer.reject(key, future, exc)
                     finally:
-                        self.admission.leave()
                         if trace_ctx is not None:
                             with self._requests_lock:
                                 if (self._leader_traces.get(key)

@@ -183,8 +183,7 @@ def run_sweep_service(scenario: Scenario, *, cache: Any = None,
     _require_kind(scenario, "sweep")
     monitor = slo_monitor_for("sweep", slo)   # fail loud before the run
     plan = SweepPlan.from_scenario(scenario)
-    runner = SweepRunner(plan, cache=cache, use_cache=use_cache,
-                         engine=scenario.engine)
+    runner = SweepRunner(plan, cache=cache, use_cache=use_cache)
     start = time.perf_counter()
     result = runner.run()
     elapsed = time.perf_counter() - start

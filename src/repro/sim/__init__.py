@@ -25,13 +25,12 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.fifo import AsyncFifo, FifoFullError, SyncFifo
 from repro.sim.pipeline import PipelineChain, PipelineStage, Transaction
 from repro.sim.stats import Counter, LatencyStats, ThroughputMeter
-from repro.sim.vector import ENGINES, chain_supports_vector, resolve_engine
+from repro.sim.vector import chain_supports_vector
 
 __all__ = [
     "AsyncFifo",
     "ClockDomain",
     "Counter",
-    "ENGINES",
     "Event",
     "FifoFullError",
     "LatencyStats",
@@ -42,5 +41,4 @@ __all__ = [
     "ThroughputMeter",
     "Transaction",
     "chain_supports_vector",
-    "resolve_engine",
 ]

@@ -16,6 +16,10 @@ Figures 10 and 17 is reproduced structurally, not by fiat.
 Transactions flow through a :class:`PipelineChain` in cut-through fashion:
 a downstream stage starts working as soon as the first beat of a
 transaction emerges from the upstream stage.
+
+A sweep point (:func:`run_packet_sweep`) runs on the closed-form kernel
+of :mod:`repro.sim.vector`; :func:`run_packet_sweep_reference` is the
+per-Transaction oracle it is pinned to.
 """
 
 import math
@@ -279,7 +283,6 @@ def run_packet_sweep(
     offered_load_bps: Optional[float] = None,
     context=None,
     trace_packets: int = 4,
-    engine: str = "auto",
 ) -> Tuple[float, float]:
     """Drive ``packet_count`` packets through ``chain``; measure performance.
 
@@ -294,20 +297,33 @@ def run_packet_sweep(
     registry under ``sweep.<chain>.<size>B``.  With no context the point
     runs untraced.
 
-    ``engine`` selects the implementation: ``"auto"`` (the default) runs
-    the closed-form kernel in :mod:`repro.sim.vector` whenever the chain
-    is analytic -- an untraced point is a one-row
-    :func:`~repro.sim.vector.run_packet_sweep_vector_batch` -- and
-    ``"vector"`` demands it.  ``"des"``, and any chain whose stages
-    override :meth:`PipelineStage.process`, runs the per-Transaction
-    oracle loop of :func:`run_packet_sweep_reference`.  The kernel is
-    pinned to exact integer equality against the oracle, so the engine
-    is invisible in the results.
+    An analytic chain (:func:`~repro.sim.vector.chain_supports_vector`)
+    runs on the closed-form kernel in :mod:`repro.sim.vector` -- an
+    untraced point is a one-row
+    :func:`~repro.sim.vector.run_packet_sweep_vector_batch` -- and any
+    chain whose stages override :meth:`PipelineStage.process` runs the
+    per-Transaction oracle loop of :func:`run_packet_sweep_reference`.
+    The kernel is pinned to exact integer equality against the oracle,
+    so the path is invisible in the results.
     """
-    from repro.sim.vector import (resolve_engine, run_packet_sweep_vector_batch,
-                                  simulate_trains)
+    from repro.sim.vector import chain_supports_vector
 
-    use_vector = resolve_engine(chain, engine)
+    return _run_packet_sweep(
+        chain, packet_size_bytes, packet_count, offered_load_bps, context,
+        trace_packets, use_vector=chain_supports_vector(chain))
+
+
+def _run_packet_sweep(chain: PipelineChain, packet_size_bytes: int,
+                      packet_count: int, offered_load_bps=None, context=None,
+                      trace_packets: int = 4, *, use_vector: bool
+                      ) -> Tuple[float, float]:
+    """:func:`run_packet_sweep` on the path the caller picks.
+
+    The differential fuzzer passes ``use_vector=False`` to force the
+    per-Transaction oracle, traced head included, on analytic chains.
+    """
+    from repro.sim.vector import run_packet_sweep_vector_batch, simulate_trains
+
     if context is None:
         from repro.runtime import current_context
 
@@ -335,7 +351,7 @@ def run_packet_sweep(
         packets=packet_count,
     )
     # The traced head always runs one Transaction at a time; the oracle
-    # engine keeps going that way, the kernel takes over the tail.  A
+    # path keeps going that way, the kernel takes over the tail.  A
     # disabled bus records no spans, so its points have no head at all.
     traced_head = (min(trace_packets, packet_count) if context.trace.enabled
                    else 0)
@@ -394,11 +410,11 @@ def run_packet_sweep_reference(
 ) -> Tuple[float, float]:
     """The per-Transaction sweep loop: the oracle for the vector kernel.
 
-    Three jobs: tests pin the kernel to it transaction for transaction,
-    ``engine="des"`` and non-analytic chains run it (it honours any
-    :meth:`PipelineStage.process` override), and the smoke benchmarks
-    time it as the baseline the kernel is measured against.  Do not
-    optimise this function.
+    Three jobs: tests and the differential fuzzer pin the kernel to it
+    transaction for transaction, non-analytic chains run it (it honours
+    any :meth:`PipelineStage.process` override), and the smoke
+    benchmarks time it as the baseline the kernel is measured against.
+    Do not optimise this function.
     """
     chain.reset()
     if offered_load_bps is None:

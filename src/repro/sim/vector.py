@@ -71,43 +71,19 @@ from repro.obs.profiler import phase as _profile_phase
 from repro.sim.clock import ClockDomain
 from repro.sim.pipeline import PipelineChain, PipelineStage
 
-#: Recognised execution engines for analytic packet sweeps.
-ENGINES: Tuple[str, ...] = ("auto", "vector", "des")
-
 
 def chain_supports_vector(chain: PipelineChain) -> bool:
     """True when every stage is an analytic :class:`PipelineStage`.
 
-    Subclassed stages or clocks may override ``process``/``next_edge_ps``
-    with behaviour the closed form cannot see, so anything but the exact
+    This is the one thing that picks an execution path.  Subclassed
+    stages or clocks may override ``process``/``next_edge_ps`` with
+    behaviour the closed form cannot see, so anything but the exact
     base types routes to the per-Transaction oracle loop.
     """
     return all(
         type(stage) is PipelineStage and type(stage.clock) is ClockDomain
         for stage in chain.stages
     )
-
-
-def resolve_engine(chain: PipelineChain, engine: str) -> bool:
-    """Map an engine name to "use the vector kernel?" for ``chain``.
-
-    ``auto`` picks the kernel whenever the chain supports it; ``vector``
-    demands it (raising :class:`ConfigurationError` when the chain has
-    non-analytic stages); ``des`` forces the per-Transaction oracle loop.
-    """
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown sweep engine {engine!r}; choose from {', '.join(ENGINES)}"
-        )
-    if engine == "des":
-        return False
-    supported = chain_supports_vector(chain)
-    if engine == "vector" and not supported:
-        raise ConfigurationError(
-            "engine='vector' requested but the chain has non-analytic "
-            "stages; use engine='auto' or 'des'"
-        )
-    return supported
 
 
 #: The gap bound of a one-packet train: larger than any busy time.

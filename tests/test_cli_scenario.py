@@ -45,18 +45,6 @@ class TestSweepParity:
         assert trace_file.read_bytes() == trace_flags.read_bytes()
         assert trace_file.read_bytes(), "traced sweep must export spans"
 
-    def test_engine_choice_is_invisible_in_results(self, tmp_path, capsys):
-        outputs = []
-        for engine in ("vector", "des"):
-            scenario = self.SCENARIO.replace(engine=engine)
-            path = write_scenario(tmp_path, scenario, f"{engine}.json")
-            out = tmp_path / f"{engine}-points.json"
-            assert main(["sweep", "--scenario", path,
-                         "--json", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        capsys.readouterr()
-        assert outputs[0] == outputs[1]
-
     def test_shape_flags_conflict_with_scenario(self, tmp_path, capsys):
         path = write_scenario(tmp_path, self.SCENARIO)
         assert main(["sweep", "--scenario", path,
@@ -79,13 +67,14 @@ class TestSweepParity:
                      str(tmp_path / "absent.json")]) == 1
         assert "not found" in capsys.readouterr().err
 
-    def test_invalid_engine_in_file_is_loud(self, tmp_path, capsys):
+    @pytest.mark.parametrize("engine", ["des", "vector"])
+    def test_invalid_engine_in_file_is_loud(self, tmp_path, capsys, engine):
         path = tmp_path / "bad.json"
         payload = self.SCENARIO.to_json()
-        payload["engine"] = "warp"
+        payload["engine"] = engine
         path.write_text(json.dumps(payload))
         assert main(["sweep", "--scenario", str(path)]) == 1
-        assert "auto, vector, des" in capsys.readouterr().err
+        assert "'engine' is retired" in capsys.readouterr().err
 
 
 class TestBuildParity:

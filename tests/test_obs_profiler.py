@@ -176,7 +176,8 @@ class TestSinks:
             assert [_shape(root) for root in roots] == [
                 (f"{tag}.outer", [(f"{tag}.inner", [])])] * 50
 
-    def test_instrumented_phases_show_up_end_to_end(self):
+    def test_instrumented_phases_show_up_end_to_end(self, monkeypatch):
+        import repro.runtime.sweep as sweep_module
         from repro.runtime import SimContext
         from repro.runtime.fleet import FleetSpec, run_fleet
         from repro.runtime.sweep import SweepPlan, run_plan
@@ -186,7 +187,10 @@ class TestSinks:
         sink = _sink()
         with recording(sink):
             run_plan(plan, use_cache=False)               # fused planner
-            run_plan(plan, use_cache=False, engine="des")  # per-point path
+            with monkeypatch.context() as patch:          # per-point path
+                patch.setattr(sweep_module, "chain_supports_vector",
+                              lambda chain: False)
+                run_plan(plan, use_cache=False)
             run_fleet(FleetSpec(flow_count=5_000, device_count=16),
                       context=SimContext(name="profiled"))
         assert {"sweep.plan", "sweep.fused", "sweep.point", "sweep.merge",

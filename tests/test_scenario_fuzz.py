@@ -89,7 +89,7 @@ class TestInjectedFailuresAndShrinking:
         assert shrunk.workload.packet_sizes[0] >= 1_024
         assert shrunk.workload.packets_per_point == 1
         assert shrunk.workload.trace is False
-        assert shrunk.engine == "auto"
+        assert shrunk.seed == 2_025
 
     def test_repro_file_replays_the_shrunk_scenario(self, tmp_path):
         fuzzer = DifferentialFuzzer(seed=13, max_packets=8,
@@ -187,17 +187,17 @@ class TestSpanChecks:
         # 5 == 5.0 as dicts, but not as the bytes a response carries.
         import repro.runtime.sweep as sweep_module
 
-        real = sweep_module.run_point
+        real = sweep_module._run_point
 
-        def floated(point):
-            entry = real(point)
-            if point.engine == "vector":
+        def floated(point, chain, use_vector):
+            entry = real(point, chain, use_vector)
+            if use_vector:
                 first = dict(entry["spans"][0])
                 first["ts_ps"] = float(first["ts_ps"])
                 entry["spans"] = (first,) + entry["spans"][1:]
             return entry
 
-        monkeypatch.setattr(sweep_module, "run_point", floated)
+        monkeypatch.setattr(sweep_module, "_run_point", floated)
         detail = DifferentialFuzzer(seed=1).check_kernel_oracle(
             self._traced())
         assert detail is not None and "spans" in detail

@@ -23,7 +23,7 @@ from repro.scenario import (
     loads_scenario,
     save_scenario,
 )
-from repro.scenario.spec import known_app_names, known_device_names, require_engine
+from repro.scenario.spec import known_app_names, known_device_names
 
 
 def sweep_scenario(**changes):
@@ -39,10 +39,6 @@ class TestValidation:
     def test_unknown_version_is_loud(self):
         with pytest.raises(ConfigurationError, match="version"):
             sweep_scenario(version=SCENARIO_VERSION + 1)
-
-    def test_unknown_engine_lists_engines(self):
-        with pytest.raises(ConfigurationError, match="auto, vector, des"):
-            sweep_scenario(engine="warp")
 
     def test_unknown_app_lists_known_names(self):
         scenario = sweep_scenario(apps=("nope",))
@@ -93,9 +89,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="need at least one flow"):
             TenancySpec(flow_count=0)
 
-    def test_require_engine_passes_known_names(self):
-        assert require_engine("vector") == "vector"
-
     def test_non_mapping_scenario_is_loud(self):
         with pytest.raises(ConfigurationError, match="JSON object"):
             Scenario.from_json(["sweep"])
@@ -137,11 +130,22 @@ class TestCanonicalSerialisation:
 
 
 class TestScenarioIdentity:
-    def test_engine_is_excluded_from_identity(self):
+    @pytest.mark.parametrize("engine",
+                             ["auto", "des", "vector", "warp", None, 1])
+    def test_engine_is_a_retired_constant(self, engine):
+        """Only ``"auto"`` parses; it changes neither the scenario nor its id."""
         scenario = sweep_scenario()
-        ids = {scenario.replace(engine=engine).scenario_id()
-               for engine in ("auto", "vector", "des")}
-        assert len(ids) == 1
+        data = scenario.to_json()
+        assert data["engine"] == "auto"
+        if engine != "auto":
+            with pytest.raises(ConfigurationError, match="retired"):
+                Scenario.from_json(dict(data, engine=engine))
+            return
+        clone = Scenario.from_json(dict(data, engine=engine))
+        assert clone == scenario
+        assert clone.scenario_id() == scenario.scenario_id()
+        del data["engine"]
+        assert Scenario.from_json(data).scenario_id() == scenario.scenario_id()
 
     def test_workload_changes_identity(self):
         scenario = sweep_scenario()
@@ -212,7 +216,7 @@ class TestEpochsSection:
 
 
 class TestSweepCacheKeyInsensitivity:
-    """Satellite: the cache key must not see field order or engine."""
+    """Satellite: the cache key must not see field order."""
 
     def _keys(self, scenario):
         keys = []
@@ -231,13 +235,6 @@ class TestSweepCacheKeyInsensitivity:
             dict(reversed(list(scenario.to_json().items()))))
         assert self._keys(reordered) == self._keys(scenario)
 
-    def test_cache_keys_ignore_engine_choice(self):
-        scenario = sweep_scenario(
-            workload=WorkloadSpec(packet_sizes=(64, 256)))
-        per_engine = [self._keys(scenario.replace(engine=engine))
-                      for engine in ("auto", "vector", "des")]
-        assert per_engine[0] == per_engine[1] == per_engine[2]
-
 
 class TestTierConversions:
     def test_sweep_plan_round_trips_through_scenario(self):
@@ -250,11 +247,6 @@ class TestTierConversions:
         plan = SweepPlan(apps=("sec-gateway",), devices=("device-a",),
                          packet_sizes=(64, 128), packets_per_point=10)
         assert plan.expand() == plan.to_scenario().expand_points()
-
-    def test_scenario_engine_lands_on_every_point(self):
-        scenario = sweep_scenario(engine="des")
-        assert all(point.engine == "des"
-                   for point in scenario.expand_points())
 
     def test_fleet_spec_from_scenario(self):
         scenario = Scenario(kind="fleet", seed=7, year=2_022,
@@ -336,7 +328,6 @@ scenarios = st.builds(
     kind=st.sampled_from(("sweep", "fleet", "build")),
     apps=app_lists,
     devices=device_lists,
-    engine=st.sampled_from(("auto", "vector", "des")),
     seed=st.integers(0, 2 ** 31),
     year=st.integers(2_016, 2_030),
     workload=workloads,
@@ -356,9 +347,7 @@ class TestSerialisationProperties:
 
     @given(scenario=scenarios)
     @settings(max_examples=60, deadline=None)
-    def test_identity_is_engine_free_and_stable(self, scenario):
+    def test_identity_is_stable_under_key_reordering(self, scenario):
         base = scenario.scenario_id()
-        for engine in ("auto", "vector", "des"):
-            assert scenario.replace(engine=engine).scenario_id() == base
         reordered = dict(reversed(list(scenario.to_json().items())))
         assert Scenario.from_json(reordered).scenario_id() == base

@@ -87,3 +87,18 @@ class TestServeSubprocess:
             timeout=60)
         assert result.returncode == 1
         assert "max_queue" in result.stderr
+
+    def test_truncated_cache_file_fails_before_serving(self, tmp_path):
+        cache_file = tmp_path / "cache.json"
+        cache_file.write_text('{"k": {"throughput_bps": 1.0, "mean_lat')
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--cache-file", str(cache_file)],
+            capture_output=True, env=env, cwd=REPO_ROOT, text=True,
+            timeout=60)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert "not a sweep cache file" in result.stderr
+        assert "serving on" not in result.stdout

@@ -8,6 +8,7 @@ there are no timing-dependent assertions.
 
 import json
 import multiprocessing
+import re
 import sys
 import threading
 
@@ -15,8 +16,9 @@ import pytest
 
 import repro.serve.daemon as daemon_module
 import repro.serve.memo as memo_module
+from repro.errors import ConfigurationError
 from repro.scenario import Scenario, TenancySpec, WorkloadSpec
-from repro.serve import ServeClient, ServeConfig, serve_in_thread
+from repro.serve import ServeClient, ServeConfig, ServingDaemon, serve_in_thread
 from repro.runtime.sweep import SweepCache
 from repro.serve.memo import MEMO_MAX_BYTES
 from repro.service import run_scenario
@@ -333,6 +335,39 @@ class TestAdmission:
             assert stats["admission"]["quota_rejections"] == 1
             assert set(stats["admission"]["tenants"]) == {"alpha", "beta"}
 
+    @pytest.mark.parametrize("fails", [False, True],
+                             ids=["resolve", "reject"])
+    def test_the_slot_is_free_before_the_response_settles(self, monkeypatch,
+                                                          fails):
+        # A client may send its next request the moment it reads a
+        # response, so the leader's slot must already be free when its
+        # future settles -- on success and on failure alike.  The
+        # done-callback runs inside resolve/reject, so this is exact.
+        config = ServeConfig(port=0, exec_workers=1, max_queue=1)
+        with serve_in_thread(config) as running:
+            daemon = running.daemon
+            depths = []
+            real_join = daemon.coalescer.join
+
+            def join(key):
+                leader, future = real_join(key)
+                if leader:
+                    future.add_done_callback(lambda _: depths.append(
+                        daemon.admission.queue_depth))
+                return leader, future
+
+            def fail(scenario, **kwargs):
+                raise RuntimeError("injected execution failure")
+
+            monkeypatch.setattr(daemon.coalescer, "join", join)
+            if fails:
+                monkeypatch.setattr(daemon_module, "run_scenario", fail)
+            client = ServeClient(running.host, running.port)
+            response = client.run_scenario(SWEEP, endpoint="sweep")
+            assert response.status == (500 if fails else 200)
+            assert depths == [0]
+            assert daemon.admission.queue_depth == 0
+
 
 class TestWarmState:
     def test_lru_bound_evicts_and_counts(self):
@@ -362,6 +397,21 @@ class TestWarmState:
             warm = client.health()["warm"]
             assert warm["sweep_cache_entries"] == \
                 len(SWEEP.workload.packet_sizes)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text[:len(text) // 2],                  # truncated
+        lambda text: "[" + text + "]",                       # not an object
+        lambda text: text.replace("throughput_bps", "tput"),  # bad entry
+    ], ids=["truncated", "not-an-object", "bad-entry"])
+    def test_corrupt_cache_file_refuses_to_start(self, tmp_path, corrupt):
+        cache_file = tmp_path / "cache.json"
+        cache = SweepCache()
+        cache.store("k", {"throughput_bps": 1.0, "mean_latency_ns": 2.0})
+        cache.save(str(cache_file))
+        cache_file.write_text(corrupt(cache_file.read_text()))
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(str(cache_file))):
+            ServingDaemon(ServeConfig(port=0, cache_file=str(cache_file)))
 
     def test_remote_shutdown_when_enabled(self):
         config = ServeConfig(port=0, allow_remote_shutdown=True)
@@ -397,13 +447,20 @@ class TestResidentPool:
         assert snapshot["sweep"]["fused_groups"] == 1
         assert "per_point_points" not in snapshot["sweep"]
 
-    def test_unfusable_points_dispatch_to_the_resident_pool(self, client):
+    def test_unfusable_points_dispatch_to_the_resident_pool(self, client,
+                                                            monkeypatch):
+        import repro.runtime.sweep as sweep_module
+
+        # The daemon runs in this process: every chain reads as
+        # non-analytic, so each point takes the per-point oracle path.
+        monkeypatch.setattr(sweep_module, "chain_supports_vector",
+                            lambda chain: False)
         first = Scenario(kind="sweep", apps=("sec-gateway",),
-                         devices=("device-a",), engine="des",
+                         devices=("device-a",),
                          workload=WorkloadSpec(packet_sizes=(64,),
                                                packets_per_point=50))
         second = Scenario(kind="sweep", apps=("sec-gateway",),
-                          devices=("device-a",), engine="des",
+                          devices=("device-a",),
                           workload=WorkloadSpec(packet_sizes=(128,),
                                                 packets_per_point=50))
         for scenario in (first, second):

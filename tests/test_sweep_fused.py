@@ -3,16 +3,14 @@
 The acceptance bar for the fused path: **invisible in the output**.
 ``SweepResult.to_json()`` and ``stitched_trace_jsonl()`` must be
 byte-identical whether cache-miss points run through the batched kernel
-or one at a time on the oracle loop (``engine="des"``); the provenance
-attributes -- and nothing else -- expose which path ran.
+or one at a time on the oracle loop (forced by reporting every chain as
+non-analytic); the provenance attributes -- and nothing else -- expose
+which path ran.
 """
 
 import json
 
-import pytest
-
 import repro.runtime.sweep as sweep_module
-from repro.errors import ConfigurationError
 from repro.runtime.sweep import (
     SweepCache,
     SweepPlan,
@@ -32,6 +30,14 @@ def small_plan(**overrides):
                     packet_sizes=(64, 256, 1024), packets_per_point=150)
     defaults.update(overrides)
     return SweepPlan(**defaults)
+
+
+def oracle_run(monkeypatch, plan, cache):
+    """The whole plan one point at a time on the per-Transaction oracle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep_module, "chain_supports_vector",
+                      lambda chain: False)
+        return SweepRunner(plan, cache=cache).run()
 
 
 def result_bytes(result):
@@ -105,15 +111,11 @@ class TestPartition:
             (("host-network", DEVICE, True), 100),
         ]
 
-    def test_traced_and_des_points_run_per_point(self):
-        points = [
-            self.points(),
-            self.points(trace=True),
-            self.points(engine="des"),
-        ]
-        groups, per_point = partition_fusable(points, range(3))
+    def test_traced_points_run_per_point(self):
+        points = [self.points(), self.points(trace=True)]
+        groups, per_point = partition_fusable(points, range(2))
         assert list(groups.values()) == [[0]]
-        assert per_point == [1, 2]
+        assert per_point == [1]
 
     def test_non_analytic_chain_runs_per_point(self, monkeypatch):
         monkeypatch.setattr(sweep_module, "chain_supports_vector",
@@ -129,29 +131,29 @@ class TestPartition:
 
 
 class TestDeterminism:
-    def test_fused_and_per_point_byte_identical(self):
+    def test_fused_and_per_point_byte_identical(self, monkeypatch):
         plan = small_plan()
         fused = SweepRunner(plan, cache=SweepCache()).run()
-        oracle = SweepRunner(plan, cache=SweepCache(), engine="des").run()
+        oracle = oracle_run(monkeypatch, plan, SweepCache())
         assert fused.fused_points == len(fused)
         assert oracle.per_point_points == len(oracle)
         assert result_bytes(fused) == result_bytes(oracle)
 
-    def test_traced_plan_byte_identical_and_unfused(self):
+    def test_traced_plan_byte_identical_and_unfused(self, monkeypatch):
         plan = small_plan(trace=True, packet_sizes=(64, 256),
                           packets_per_point=40)
         kernel = SweepRunner(plan, cache=SweepCache()).run()
-        oracle = SweepRunner(plan, cache=SweepCache(), engine="des").run()
+        oracle = oracle_run(monkeypatch, plan, SweepCache())
         assert result_bytes(kernel) == result_bytes(oracle)
         assert kernel.stitched_trace_jsonl(trace_id="t")
         assert kernel.fused_points == 0       # traces force per-point
         assert kernel.per_point_points == len(kernel)
 
-    def test_cache_entries_identical_across_modes(self):
+    def test_cache_entries_identical_across_modes(self, monkeypatch):
         plan = small_plan()
         fused_cache, oracle_cache = SweepCache(), SweepCache()
         SweepRunner(plan, cache=fused_cache).run()
-        SweepRunner(plan, cache=oracle_cache, engine="des").run()
+        oracle_run(monkeypatch, plan, oracle_cache)
         assert fused_cache._entries == oracle_cache._entries
 
     def test_warm_cache_serves_fused_results(self):
@@ -175,27 +177,6 @@ class TestProvenance:
         assert result.per_point_points == 0
         for name in ("fused_points", "fused_groups", "per_point_points"):
             assert name not in json.dumps(result.to_json())
-
-    def test_engine_des_disables_fusing(self):
-        plan = small_plan(packet_sizes=(64,), packets_per_point=40)
-        result = SweepRunner(plan, cache=SweepCache(), engine="des").run()
-        assert result.fused_points == 0
-        assert result.per_point_points == len(result)
-
-    def test_engine_vector_on_unsupported_chain_still_raises(self,
-                                                             monkeypatch):
-        # The planner must route vector-on-unsupported to the per-point
-        # path so the ConfigurationError surfaces instead of silently
-        # batching a chain the kernel cannot model.
-        import repro.sim.vector as vector_module
-
-        monkeypatch.setattr(sweep_module, "chain_supports_vector",
-                            lambda chain: False)
-        monkeypatch.setattr(vector_module, "chain_supports_vector",
-                            lambda chain: False)
-        plan = small_plan(packet_sizes=(64,), packets_per_point=40)
-        with pytest.raises(ConfigurationError):
-            SweepRunner(plan, cache=SweepCache(), engine="vector").run()
 
     def test_intra_run_dedup_survives_fusing(self):
         # device-a and device-a listed twice: same content keys, the

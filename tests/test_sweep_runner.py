@@ -1,8 +1,8 @@
 """Tests for the sweep runner and its content-keyed cache.
 
-The load-bearing guarantees: (1) the engine is invisible -- a plan run
-on the vector kernel and on the ``des`` oracle loop produces
-byte-identical results and stitched traces; (2) the cache only ever
+The load-bearing guarantees: (1) the execution path is invisible -- a
+plan run on the vector kernel and on the per-Transaction oracle loop
+produces byte-identical results and stitched traces; (2) the cache only ever
 returns what a fresh simulation would have produced, and traced points
 never touch it; (3) ``run_packet_sweep`` agrees exactly with the pinned
 reference loop.
@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+import repro.runtime.sweep as sweep_module
 from repro.apps import application_by_name
 from repro.errors import ConfigurationError, HarmoniaError
 from repro.platform.catalog import device_by_name
@@ -399,25 +400,16 @@ class TestAtomicCacheSave:
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.cache.json"]
 
 
-class TestEngineTiers:
-    def test_vector_and_des_tiers_are_byte_identical(self):
-        # ISSUE acceptance: vector-vs-DES invisible for analytic chains.
+class TestExecutionPaths:
+    def test_kernel_and_oracle_are_byte_identical(self, monkeypatch):
+        # The vector kernel is invisible for analytic chains.
         plan = small_plan(packet_sizes=(64, 256), packets_per_point=100,
                           trace=True)
-        vector = run_plan(plan, use_cache=False, engine="vector")
-        des = run_plan(plan, use_cache=False, engine="des")
-        assert vector.to_json() == des.to_json()
+        vector = run_plan(plan, use_cache=False)
+        monkeypatch.setattr(sweep_module, "chain_supports_vector",
+                            lambda chain: False)
+        oracle = run_plan(plan, use_cache=False)
+        assert vector.to_json() == oracle.to_json()
         assert (vector.stitched_trace_jsonl(trace_id="t")
-                == des.stitched_trace_jsonl(trace_id="t"))
+                == oracle.stitched_trace_jsonl(trace_id="t"))
         assert vector.stitched_trace_jsonl(trace_id="t")  # non-trivial
-
-    def test_engine_is_not_part_of_the_cache_key(self):
-        cache = SweepCache()
-        plan = small_plan(packet_sizes=(64,), packets_per_point=100)
-        run_plan(plan, cache=cache, engine="vector")
-        warm = run_plan(plan, cache=cache, engine="des")
-        assert warm.cache_hits == len(warm)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepRunner(small_plan(), engine="warp")

@@ -25,15 +25,14 @@ from repro.sim.pipeline import (
     PipelineChain,
     PipelineStage,
     Transaction,
+    _run_packet_sweep,
     run_packet_sweep,
     run_packet_sweep_reference,
 )
 from repro.sim import vector
 from repro.sim.vector import (
-    ENGINES,
     _clock_runs,
     chain_supports_vector,
-    resolve_engine,
     run_packet_sweep_vector_batch,
     simulate_trains,
 )
@@ -318,52 +317,35 @@ class TestThroughputMonotonicity:
                 1.0 + 1e-12)
 
 
-class TestEngineSelection:
+class TestPathSelection:
     def _chain(self):
-        return PipelineChain("engine", [
+        return PipelineChain("analytic", [
             PipelineStage("s", ClockDomain("c", 250.0), 64),
         ])
 
-    def test_known_engines(self):
-        assert ENGINES == ("auto", "vector", "des")
-
-    def test_auto_picks_vector_for_analytic_chain(self):
-        chain = self._chain()
-        assert chain_supports_vector(chain)
-        assert resolve_engine(chain, "auto") is True
-        assert resolve_engine(chain, "vector") is True
-        assert resolve_engine(chain, "des") is False
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_engine(self._chain(), "warp")
-
-    def test_subclassed_stage_downgrades_auto_and_blocks_vector(self):
-        chain = PipelineChain("odd", [
+    def test_only_exact_base_types_are_analytic(self):
+        assert chain_supports_vector(self._chain())
+        assert not chain_supports_vector(PipelineChain("odd", [
             OddStage("s", ClockDomain("c", 250.0), 64),
-        ])
-        assert not chain_supports_vector(chain)
-        assert resolve_engine(chain, "auto") is False
-        with pytest.raises(ConfigurationError):
-            resolve_engine(chain, "vector")
+        ]))
 
-    def test_sweep_identical_across_engines(self):
+    def test_sweep_matches_the_oracle(self):
         chain = self._chain()
-        des = run_packet_sweep(chain, 256, 500, engine="des")
-        vec = run_packet_sweep(chain, 256, 500, engine="vector")
-        auto = run_packet_sweep(chain, 256, 500, engine="auto")
-        assert des == vec == auto
+        oracle = _run_packet_sweep(chain, 256, 500, use_vector=False)
+        assert run_packet_sweep(chain, 256, 500) == oracle
+        assert run_packet_sweep_reference(chain, 256, 500) == oracle
 
-    @pytest.mark.parametrize("engine", ["auto", "des"])
-    def test_quiet_context_matches_traced_and_plain(self, engine):
+    @pytest.mark.parametrize("use_vector", [True, False],
+                             ids=["kernel", "oracle"])
+    def test_quiet_context_matches_traced_and_plain(self, use_vector):
         """A disabled trace bus skips the traced head, invisibly."""
         chain = cmac_chain()
-        plain = run_packet_sweep(chain, 700, 300, engine=engine)
+        plain = _run_packet_sweep(chain, 700, 300, use_vector=use_vector)
         stats = []
         for trace in (False, True):
             context = SimContext(name="quiet", trace=trace)
-            assert run_packet_sweep(chain, 700, 300, context=context,
-                                    engine=engine) == plain
+            assert _run_packet_sweep(chain, 700, 300, context=context,
+                                     use_vector=use_vector) == plain
             histogram = context.metrics.histogram("sweep.cmac.700B.latency_ps")
             stats.append((histogram.count, histogram.mean_ps,
                           histogram.min_ps, histogram.max_ps,
@@ -380,8 +362,7 @@ class TestEngineSelection:
             ])
 
         reference = run_packet_sweep_reference(chain(), 256, 500)
-        assert run_packet_sweep(chain(), 256, 500, engine="auto") == reference
-        assert run_packet_sweep(chain(), 256, 500, engine="des") == reference
+        assert run_packet_sweep(chain(), 256, 500) == reference
         analytic = PipelineChain("plain", [
             PipelineStage("a", ClockDomain("c1", 322.265625), 64),
             PipelineStage("b", ClockDomain("c2", 250.0), 64),
